@@ -6,6 +6,7 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <map>
@@ -15,6 +16,7 @@
 
 #include "osprey/eqsql/service.h"
 #include "osprey/shard/key.h"
+#include "osprey/shard/router.h"
 #include "osprey/storage/engine.h"
 #include "osprey/tenant/registry.h"
 
@@ -33,6 +35,8 @@ struct osprey_service {
   std::vector<std::unique_ptr<osprey::db::wal::LogDevice>> devices;
   std::vector<std::unique_ptr<osprey::eqsql::EmewsService>> shards;
   bool started = false;
+  /* Start of the next exp-id scatter claim's shard rotation. */
+  std::atomic<std::uint64_t> rotation{0};
 };
 
 struct osprey_client {
@@ -85,38 +89,6 @@ osprey::eqsql::EQSQL* api_for_task(osprey_client* client, int64_t task_id,
   return client->apis[s].get();
 }
 
-/* Claim one task under experiment-id keying, where a work type spans every
- * shard: probe each shard non-blocking, sleeping the poll cadence between
- * rounds until the deadline. (Work-type keying never takes this path — the
- * owning shard's own blocking query, notify mode included, handles it.) */
-int scatter_query_task(osprey_client* client, int eq_type,
-                       const char* worker_pool,
-                       const osprey::eqsql::WaitSpec& wait,
-                       int64_t* task_id_out, char* payload_buf,
-                       size_t payload_buf_size) {
-  const osprey::PoolId pool = worker_pool ? worker_pool : "default";
-  const osprey::TimePoint deadline =
-      client->service->clock.now() + wait.timeout;
-  while (true) {
-    for (shard::ShardId s = 0; s < client->apis.size(); ++s) {
-      auto tasks = client->apis[s]->try_query_tasks(eq_type, 1, pool);
-      if (!tasks.ok()) return to_c_error(tasks.code());
-      if (tasks.value().empty()) continue;
-      const osprey::eqsql::TaskHandle& handle = tasks.value().front();
-      int copied = copy_string(handle.payload, payload_buf, payload_buf_size);
-      if (copied != OSPREY_OK) return copied;
-      *task_id_out = shard::global_task_id(handle.eq_task_id, s);
-      return OSPREY_OK;
-    }
-    const osprey::Duration remaining =
-        deadline - client->service->clock.now();
-    if (remaining <= 0) return OSPREY_E_TIMEOUT;
-    osprey::Duration delay = wait.poll_delay;
-    if (delay <= 0 || delay > remaining) delay = remaining;
-    osprey::RealClock::sleep_for(delay);
-  }
-}
-
 /* Read a caller's size-prefixed struct at the ABI the caller compiled
  * against: start from this library's defaults, then overlay the caller's
  * leading min(their size, ours) bytes. Fields the caller predates keep
@@ -137,21 +109,71 @@ T read_versioned(const T* caller, void (*init)(T*)) {
 int query_one_task(osprey_client* client, int eq_type, const char* worker_pool,
                    const osprey::eqsql::WaitSpec& spec, int64_t* task_id_out,
                    char* payload_buf, size_t payload_buf_size) {
+  namespace eqsql = osprey::eqsql;
   if (!client || !task_id_out) return OSPREY_E_INVALID_ARGUMENT;
-  if (client->service->spec.key == shard::ShardKeyKind::kExpId &&
-      client->apis.size() > 1) {
-    return scatter_query_task(client, eq_type, worker_pool, spec, task_id_out,
-                              payload_buf, payload_buf_size);
+  const osprey::PoolId pool = worker_pool ? worker_pool : "default";
+  const auto count = static_cast<uint32_t>(client->apis.size());
+  eqsql::TaskHandle handle;
+  shard::ShardId s = shard::shard_of_work_type(client->service->spec, eq_type);
+  if (client->service->spec.key == shard::ShardKeyKind::kWorkType ||
+      count == 1) {
+    auto tasks = client->apis[s]->query_task(eq_type, 1, pool, spec);
+    if (!tasks.ok()) return to_c_error(tasks.code());
+    handle = std::move(tasks.value().front());
+  } else {
+    /* Experiment keying spreads a work type over every shard: each probe
+     * tries them in rotation order, and notify mode blocks on the union of
+     * their work channels. */
+    std::vector<eqsql::Notifier*> notifiers;
+    for (auto& api : client->apis) notifiers.push_back(api->notifier());
+    std::unique_ptr<shard::UnionWaiter> channel;
+    if (spec.strategy != eqsql::WaitStrategy::kPoll &&
+        std::find(notifiers.begin(), notifiers.end(), nullptr) ==
+            notifiers.end()) {
+      channel = std::make_unique<shard::UnionWaiter>(notifiers, eq_type);
+    }
+    Status claimed = eqsql::wait_until(
+        spec, client->service->clock, &osprey::RealClock::sleep_for,
+        channel.get(),
+        [&]() -> osprey::Result<eqsql::ProbeOutcome> {
+          for (shard::ShardId candidate : shard::rotation_order(
+                   client->service->rotation.fetch_add(1), count)) {
+            auto tasks =
+                client->apis[candidate]->try_query_tasks(eq_type, 1, pool);
+            if (!tasks.ok()) return tasks.error();
+            if (tasks.value().empty()) continue;
+            handle = std::move(tasks.value().front());
+            s = candidate;
+            return eqsql::ProbeOutcome::kDone;
+          }
+          return eqsql::ProbeOutcome::kNotYet;
+        },
+        [&] { return "no task of type " + std::to_string(eq_type); });
+    if (!claimed.is_ok()) return to_c_error(claimed.code());
   }
-  const shard::ShardId s =
-      shard::shard_of_work_type(client->service->spec, eq_type);
-  auto tasks = client->apis[s]->query_task(
-      eq_type, 1, worker_pool ? worker_pool : "default", spec);
-  if (!tasks.ok()) return to_c_error(tasks.code());
-  const osprey::eqsql::TaskHandle& handle = tasks.value().front();
   int copied = copy_string(handle.payload, payload_buf, payload_buf_size);
-  if (copied != OSPREY_OK) return copied;
+  if (copied != OSPREY_OK) {
+    /* The claim has committed, but the caller cannot take the payload and
+     * never learns the id: return the task to its queue, or its lease is
+     * lost. */
+    auto requeued = client->apis[s]->requeue_tasks({handle.eq_task_id});
+    return requeued.ok() ? copied : to_c_error(requeued.code());
+  }
   *task_id_out = shard::global_task_id(handle.eq_task_id, s);
+  return OSPREY_OK;
+}
+
+/* The v1 queue-stats entry points read the v2 snapshot: every shard (-1)
+ * or one. */
+int queue_stats_v1(osprey_client* client, int32_t shard,
+                   osprey_queue_stats* stats_out) {
+  if (!stats_out) return OSPREY_E_INVALID_ARGUMENT;
+  osprey_stats_v2_t v2;
+  osprey_stats_v2_init(&v2);
+  const int rc = osprey_stats_v2(client, shard, &v2);
+  if (rc != OSPREY_OK) return rc;
+  *stats_out = {v2.output_queue, v2.input_queue, v2.queued,
+                v2.running,      v2.complete,    v2.canceled};
   return OSPREY_OK;
 }
 
@@ -322,29 +344,28 @@ int osprey_service_enable_storage(osprey_service* service,
 int osprey_storage_stats_snapshot(const osprey_service* service,
                                   osprey_storage_stats* stats_out) {
   if (!service || !stats_out) return OSPREY_E_INVALID_ARGUMENT;
-  osprey_storage_stats total{};
+  osprey::storage::StorageStats total;
   bool any = false;
   /* stats() is logically const but declared on the mutable engine handle. */
   for (auto& shard_service : const_cast<osprey_service*>(service)->shards) {
     osprey::storage::StorageEngine* engine = shard_service->storage();
     if (!engine) continue;
     any = true;
-    const osprey::storage::StorageStats stats = engine->stats();
-    total.memtable_bytes += stats.memtable_bytes;
-    total.memtable_rows += stats.memtable_rows;
-    total.spilled_rows += stats.spilled_rows;
-    total.runs += stats.runs;
-    total.run_bytes += stats.run_bytes;
-    total.zombie_runs += stats.zombie_runs;
-    total.flushes += stats.flushes;
-    total.flush_failures += stats.flush_failures;
-    total.compactions += stats.compactions;
-    total.cache_hits += stats.cache_hits;
-    total.cache_misses += stats.cache_misses;
-    total.read_errors += stats.read_errors;
+    total.merge(engine->stats());
   }
   if (!any) return OSPREY_E_UNAVAILABLE;
-  *stats_out = total;
+  stats_out->memtable_bytes = total.memtable_bytes;
+  stats_out->memtable_rows = total.memtable_rows;
+  stats_out->spilled_rows = total.spilled_rows;
+  stats_out->runs = total.runs;
+  stats_out->run_bytes = total.run_bytes;
+  stats_out->zombie_runs = total.zombie_runs;
+  stats_out->flushes = total.flushes;
+  stats_out->flush_failures = total.flush_failures;
+  stats_out->compactions = total.compactions;
+  stats_out->cache_hits = total.cache_hits;
+  stats_out->cache_misses = total.cache_misses;
+  stats_out->read_errors = total.read_errors;
   return OSPREY_OK;
 }
 
@@ -452,36 +473,13 @@ int osprey_peek_result(osprey_client* client, int64_t task_id,
 }
 
 int osprey_stats(osprey_client* client, osprey_queue_stats* stats_out) {
-  if (!client || !stats_out) return OSPREY_E_INVALID_ARGUMENT;
-  osprey_queue_stats total = {};
-  for (auto& api : client->apis) {
-    auto stats = api->stats();
-    if (!stats.ok()) return to_c_error(stats.code());
-    total.output_queue += stats.value().output_queue;
-    total.input_queue += stats.value().input_queue;
-    total.queued += stats.value().queued;
-    total.running += stats.value().running;
-    total.complete += stats.value().complete;
-    total.canceled += stats.value().canceled;
-  }
-  *stats_out = total;
-  return OSPREY_OK;
+  return queue_stats_v1(client, -1, stats_out);
 }
 
 int osprey_shard_stats(osprey_client* client, uint32_t shard,
                        osprey_queue_stats* stats_out) {
-  if (!client || !stats_out || shard >= client->apis.size()) {
-    return OSPREY_E_INVALID_ARGUMENT;
-  }
-  auto stats = client->apis[shard]->stats();
-  if (!stats.ok()) return to_c_error(stats.code());
-  stats_out->output_queue = stats.value().output_queue;
-  stats_out->input_queue = stats.value().input_queue;
-  stats_out->queued = stats.value().queued;
-  stats_out->running = stats.value().running;
-  stats_out->complete = stats.value().complete;
-  stats_out->canceled = stats.value().canceled;
-  return OSPREY_OK;
+  if (!client || shard >= client->apis.size()) return OSPREY_E_INVALID_ARGUMENT;
+  return queue_stats_v1(client, static_cast<int32_t>(shard), stats_out);
 }
 
 int osprey_task_status(osprey_client* client, int64_t task_id,
@@ -627,36 +625,41 @@ int osprey_stats_v2(osprey_client* client, int32_t shard_index,
   /* The caller's struct_size bounds what we write back: build the full
    * current-ABI snapshot locally, then copy their prefix. */
   const size_t caller_size = stats_out->struct_size;
-  osprey_stats_v2_t total;
-  osprey_stats_v2_init(&total);
+  osprey::eqsql::QueueStats queue;
+  osprey::storage::StorageStats storage;
+  bool storage_enabled = false;
   for (size_t s = 0; s < client->apis.size(); ++s) {
     if (shard_index >= 0 && s != static_cast<size_t>(shard_index)) continue;
     auto stats = client->apis[s]->stats();
     if (!stats.ok()) return to_c_error(stats.code());
-    total.output_queue += stats.value().output_queue;
-    total.input_queue += stats.value().input_queue;
-    total.queued += stats.value().queued;
-    total.running += stats.value().running;
-    total.complete += stats.value().complete;
-    total.canceled += stats.value().canceled;
+    queue.merge(stats.value());
     osprey::storage::StorageEngine* engine =
         client->service->shards[s]->storage();
     if (!engine) continue;
-    total.storage_enabled = 1;
-    const osprey::storage::StorageStats ss = engine->stats();
-    total.storage_memtable_bytes += ss.memtable_bytes;
-    total.storage_memtable_rows += ss.memtable_rows;
-    total.storage_spilled_rows += ss.spilled_rows;
-    total.storage_runs += ss.runs;
-    total.storage_run_bytes += ss.run_bytes;
-    total.storage_zombie_runs += ss.zombie_runs;
-    total.storage_flushes += ss.flushes;
-    total.storage_flush_failures += ss.flush_failures;
-    total.storage_compactions += ss.compactions;
-    total.storage_cache_hits += ss.cache_hits;
-    total.storage_cache_misses += ss.cache_misses;
-    total.storage_read_errors += ss.read_errors;
+    storage_enabled = true;
+    storage.merge(engine->stats());
   }
+  osprey_stats_v2_t total;
+  osprey_stats_v2_init(&total);
+  total.output_queue = queue.output_queue;
+  total.input_queue = queue.input_queue;
+  total.queued = queue.queued;
+  total.running = queue.running;
+  total.complete = queue.complete;
+  total.canceled = queue.canceled;
+  total.storage_enabled = storage_enabled ? 1 : 0;
+  total.storage_memtable_bytes = storage.memtable_bytes;
+  total.storage_memtable_rows = storage.memtable_rows;
+  total.storage_spilled_rows = storage.spilled_rows;
+  total.storage_runs = storage.runs;
+  total.storage_run_bytes = storage.run_bytes;
+  total.storage_zombie_runs = storage.zombie_runs;
+  total.storage_flushes = storage.flushes;
+  total.storage_flush_failures = storage.flush_failures;
+  total.storage_compactions = storage.compactions;
+  total.storage_cache_hits = storage.cache_hits;
+  total.storage_cache_misses = storage.cache_misses;
+  total.storage_read_errors = storage.read_errors;
   std::memcpy(stats_out, &total,
               std::min(caller_size, sizeof(osprey_stats_v2_t)));
   stats_out->struct_size = caller_size;
@@ -724,15 +727,7 @@ int osprey_tenant_stats_v2(osprey_client* client,
     any = true;
     for (const osprey::tenant::TenantStats& s : registry->stats()) {
       auto [it, inserted] = merged.emplace(s.tenant, s);
-      if (inserted) continue;
-      osprey::tenant::TenantStats& m = it->second;
-      m.queued += s.queued;
-      m.running += s.running;
-      m.admitted += s.admitted;
-      m.rejected += s.rejected;
-      m.claimed += s.claimed;
-      m.completed += s.completed;
-      m.cost_task_seconds += s.cost_task_seconds;
+      if (!inserted) it->second.merge(s);
     }
   }
   if (!any) return OSPREY_E_UNAVAILABLE;

@@ -344,7 +344,8 @@ void osprey_claim_spec_init(osprey_claim_spec_t* spec);
 
 /* Claim one task per the spec. With tenancy enabled on the service, claims
  * draw across backlogged tenants weighted-fair (stride scheduling) instead
- * of strictly by priority. */
+ * of strictly by priority. A payload too large for payload_buf fails with
+ * OSPREY_E_INVALID_ARGUMENT and puts the task back in its queue. */
 int osprey_query_task_v2(osprey_client* client,
                          const osprey_claim_spec_t* spec,
                          int64_t* task_id_out, char* payload_buf,

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "osprey/core/log.h"
-#include "osprey/core/retry.h"
 #include "osprey/eqsql/notify.h"
 #include "osprey/eqsql/schema.h"
 
@@ -31,21 +30,6 @@ std::vector<db::Value> id_params(const std::vector<TaskId>& ids) {
   params.reserve(ids.size());
   for (TaskId id : ids) params.emplace_back(id);
   return params;
-}
-
-/// Poll delays as a RetryState over the shared RetryPolicy: the k-th empty
-/// poll waits delay * backoff^(k-1), capped at max_delay. Attempts are
-/// unbounded — the caller's deadline is what ends the loop. In notify mode
-/// the same sequence paces the fallback re-probes.
-RetryState poll_waiter(const WaitSpec& wait) {
-  RetryPolicy policy;
-  policy.max_attempts = std::numeric_limits<int>::max();
-  policy.initial_backoff = wait.poll_delay;
-  policy.multiplier = wait.poll_backoff;
-  policy.max_backoff = wait.poll_max_delay;
-  policy.jitter = 0.0;
-  policy.budget = 0.0;
-  return RetryState(policy, 0, "eqsql.poll");
 }
 
 }  // namespace
@@ -76,17 +60,7 @@ EQSQL::ObsHandles::ObsHandles()
       report_latency(obs::telemetry().metrics.histogram(
           "osprey_eqsql_report_latency_seconds")),
       result_latency(obs::telemetry().metrics.histogram(
-          "osprey_eqsql_result_latency_seconds")),
-      notify_wakeups(obs::telemetry().metrics.counter(
-          "osprey_eqsql_notify_wakeups_total")),
-      spurious_wakeups(obs::telemetry().metrics.counter(
-          "osprey_eqsql_spurious_wakeups_total")),
-      poll_fallbacks(obs::telemetry().metrics.counter(
-          "osprey_eqsql_poll_fallbacks_total")),
-      wait_timeouts(obs::telemetry().metrics.counter(
-          "osprey_eqsql_wait_timeouts_total")),
-      wait_latency(obs::telemetry().metrics.histogram(
-          "osprey_eqsql_wait_latency_seconds")) {}
+          "osprey_eqsql_result_latency_seconds")) {}
 
 const char* task_status_name(TaskStatus s) {
   switch (s) {
@@ -403,57 +377,27 @@ Result<std::vector<TaskHandle>> EQSQL::try_query_tasks_batched(
 Result<std::vector<TaskHandle>> EQSQL::query_task(WorkType eq_type, int n,
                                                   const PoolId& worker_pool,
                                                   WaitSpec wait) {
-  const WaitStrategy mode = wait.resolve(notifier_);
-  const TimePoint deadline = clock_.now() + wait.timeout;
-  RetryState waiter = poll_waiter(wait);
-  obs::Stopwatch waited;
-  bool woke_by_notify = false;
-  while (true) {
-    // Version before the probe: a commit landing between probe and wait
-    // moves the channel past `seen`, so the wait returns immediately — the
-    // probe/block race can cost a fast retry, never a lost wakeup.
-    const std::uint64_t seen =
-        mode == WaitStrategy::kNotify ? notifier_->work_version(eq_type) : 0;
-    Result<std::vector<TaskHandle>> handles =
-        try_query_tasks(eq_type, n, worker_pool);
-    if (!handles.ok()) return handles;
-    if (!handles.value().empty()) {
-      if (obs::enabled()) obs::observe_latency(obs_.wait_latency, waited);
-      return handles;
-    }
-    if (obs::enabled() && woke_by_notify) {
-      obs_.spurious_wakeups.inc();  // signaled, but another claimant won
-    }
-    Duration delay = wait.poll_delay;
-    waiter.next_delay(&delay);
-    if (mode == WaitStrategy::kNotify) {
-      const Duration remaining = deadline - clock_.now();
-      if (remaining <= 0.0) {
-        if (obs::enabled()) obs_.wait_timeouts.inc();
-        return Error(ErrorCode::kTimeout,
-                     "no task of type " + std::to_string(eq_type) +
-                         " within " + std::to_string(wait.timeout) + "s");
-      }
-      const Duration slice =
-          delay > 0.0 ? std::min(delay, remaining) : remaining;
-      woke_by_notify = notifier_->wait_for_work(eq_type, seen, slice);
-      if (obs::enabled()) {
-        if (woke_by_notify) {
-          obs_.notify_wakeups.inc();
-        } else {
-          obs_.poll_fallbacks.inc();
-        }
-      }
-    } else {
-      if (clock_.now() + delay > deadline) {
-        if (obs::enabled()) obs_.wait_timeouts.inc();
-        return Error(ErrorCode::kTimeout,
-                     "no task of type " + std::to_string(eq_type) +
-                         " within " + std::to_string(wait.timeout) + "s");
-      }
-      sleeper_(delay);
-    }
+  std::optional<NotifierChannel> channel;
+  if (wait.resolve(notifier_) == WaitStrategy::kNotify) {
+    channel.emplace(*notifier_, eq_type);
   }
+  std::vector<TaskHandle> claimed;
+  Status waited = wait_until(
+      wait, clock_, sleeper_, channel ? &*channel : nullptr,
+      [&]() -> Result<ProbeOutcome> {
+        Result<std::vector<TaskHandle>> handles =
+            try_query_tasks(eq_type, n, worker_pool);
+        if (!handles.ok()) return handles.error();
+        if (handles.value().empty()) return ProbeOutcome::kNotYet;
+        claimed = std::move(handles).take();
+        return ProbeOutcome::kDone;
+      },
+      [&] {
+        return "no task of type " + std::to_string(eq_type) + " within " +
+               std::to_string(wait.timeout) + "s";
+      });
+  if (!waited.is_ok()) return waited.error();
+  return claimed;
 }
 
 Status EQSQL::report_task(TaskId eq_task_id, WorkType eq_type,
@@ -599,80 +543,54 @@ Status EQSQL::pop_result_entry(TaskId eq_task_id) {
 }
 
 Result<std::string> EQSQL::query_result(TaskId eq_task_id, WaitSpec wait) {
-  const WaitStrategy mode = wait.resolve(notifier_);
-  const TimePoint deadline = clock_.now() + wait.timeout;
-  RetryState waiter = poll_waiter(wait);
-  obs::Stopwatch waited;
-  bool woke_by_notify = false;
-  while (true) {
-    const std::uint64_t seen =
-        mode == WaitStrategy::kNotify ? notifier_->result_version() : 0;
-    // With a peeker routed in, the waiting probes are read-only and a
-    // replica may answer them; a positive probe already carries the payload,
-    // so the local side only pops the input-queue entry — one write, no
-    // duplicate read of the task row. A probe error other than
-    // "not complete" falls through to the local path so routing failures
-    // never wedge the loop — at worst a probe costs a leader round-trip.
-    bool complete = true;
-    if (peeker_) {
-      Result<std::string> probe = peeker_(eq_task_id);
-      if (!probe.ok() && probe.code() == ErrorCode::kCanceled) return probe;
-      if (probe.ok()) {
-        Status picked = pop_result_entry(eq_task_id);
-        if (!picked.is_ok()) return picked.error();
-        if (obs::enabled()) obs::observe_latency(obs_.wait_latency, waited);
-        return probe;
-      }
-      if (probe.code() == ErrorCode::kNotFound &&
-          probe.error().message.find("not complete") != std::string::npos) {
-        complete = false;  // authoritative "still running": keep waiting
-      }
-    }
-    if (complete) {
-      Result<std::string> r = try_query_result(eq_task_id);
-      if (r.ok() || (r.code() != ErrorCode::kNotFound)) {
-        if (r.ok() && obs::enabled()) {
-          obs::observe_latency(obs_.wait_latency, waited);
+  std::optional<NotifierChannel> channel;
+  if (wait.resolve(notifier_) == WaitStrategy::kNotify) channel.emplace(*notifier_);
+  std::string payload;
+  Status waited = wait_until(
+      wait, clock_, sleeper_, channel ? &*channel : nullptr,
+      [&]() -> Result<ProbeOutcome> {
+        // With a peeker routed in, the waiting probes are read-only and a
+        // replica may answer them; a positive probe already carries the
+        // payload, so the local side only pops the input-queue entry — one
+        // write, no duplicate read of the task row. A probe error other
+        // than "not complete" falls through to the local path so routing
+        // failures never wedge the loop — at worst a probe costs a leader
+        // round-trip.
+        if (peeker_) {
+          Result<std::string> probe = peeker_(eq_task_id);
+          if (!probe.ok() && probe.code() == ErrorCode::kCanceled) {
+            return probe.error();
+          }
+          if (probe.ok()) {
+            Status picked = pop_result_entry(eq_task_id);
+            if (!picked.is_ok()) return picked.error();
+            payload = std::move(probe).take();
+            return ProbeOutcome::kDone;
+          }
+          if (probe.code() == ErrorCode::kNotFound &&
+              probe.error().message.find("not complete") != std::string::npos) {
+            return ProbeOutcome::kNotYet;  // authoritative "still running"
+          }
         }
-        return r;
-      }
-      // kNotFound means "not complete yet" — unless the task truly does not
-      // exist, which polling will never fix; bail out for nonexistent ids.
-      if (r.error().message.find("not complete") == std::string::npos) return r;
-    }
-    if (obs::enabled() && woke_by_notify) obs_.spurious_wakeups.inc();
-    Duration delay = wait.poll_delay;
-    waiter.next_delay(&delay);
-    if (mode == WaitStrategy::kNotify) {
-      const Duration remaining = deadline - clock_.now();
-      if (remaining <= 0.0) {
-        if (obs::enabled()) obs_.wait_timeouts.inc();
-        return Error(ErrorCode::kTimeout,
-                     "task " + std::to_string(eq_task_id) +
-                         " not complete within " +
-                         std::to_string(wait.timeout) + "s");
-      }
-      const Duration slice =
-          delay > 0.0 ? std::min(delay, remaining) : remaining;
-      woke_by_notify = notifier_->wait_for_result(seen, slice);
-      if (obs::enabled()) {
-        if (woke_by_notify) {
-          obs_.notify_wakeups.inc();
-        } else {
-          obs_.poll_fallbacks.inc();
+        Result<std::string> r = try_query_result(eq_task_id);
+        if (r.ok()) {
+          payload = std::move(r).take();
+          return ProbeOutcome::kDone;
         }
-      }
-    } else {
-      if (clock_.now() + delay > deadline) {
-        if (obs::enabled()) obs_.wait_timeouts.inc();
-        return Error(ErrorCode::kTimeout,
-                     "task " + std::to_string(eq_task_id) +
-                         " not complete within " +
-                         std::to_string(wait.timeout) + "s");
-      }
-      sleeper_(delay);
-    }
-  }
+        // kNotFound means "not complete yet" — unless the task truly does
+        // not exist, which waiting will never fix; bail out for those.
+        if (r.code() == ErrorCode::kNotFound &&
+            r.error().message.find("not complete") != std::string::npos) {
+          return ProbeOutcome::kNotYet;
+        }
+        return r.error();
+      },
+      [&] {
+        return "task " + std::to_string(eq_task_id) + " not complete within " +
+               std::to_string(wait.timeout) + "s";
+      });
+  if (!waited.is_ok()) return waited.error();
+  return payload;
 }
 
 Result<std::vector<TaskId>> EQSQL::try_query_completed(

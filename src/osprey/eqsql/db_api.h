@@ -43,6 +43,16 @@ struct QueueStats {
   std::int64_t running = 0;
   std::int64_t complete = 0;
   std::int64_t canceled = 0;
+
+  /// Add another snapshot's counts: the cross-shard sum.
+  void merge(const QueueStats& other) {
+    output_queue += other.output_queue;
+    input_queue += other.input_queue;
+    queued += other.queued;
+    running += other.running;
+    complete += other.complete;
+    canceled += other.canceled;
+  }
 };
 
 class EQSQL {
@@ -291,14 +301,6 @@ class EQSQL {
     obs::Histogram& claim_latency;
     obs::Histogram& report_latency;
     obs::Histogram& result_latency;
-    // Wait-plane instrumentation (DESIGN.md §5.10): how blocking calls end
-    // their waits — a commit notification, a fallback re-probe, a timeout —
-    // and how often a notification wakeup found nothing (lost the claim race).
-    obs::Counter& notify_wakeups;
-    obs::Counter& spurious_wakeups;
-    obs::Counter& poll_fallbacks;
-    obs::Counter& wait_timeouts;
-    obs::Histogram& wait_latency;
     ObsHandles();
   };
 

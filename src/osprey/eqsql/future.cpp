@@ -103,52 +103,37 @@ Result<std::vector<std::size_t>> as_completed(std::vector<TaskFuture>& futures,
   }
 
   Notifier* notifier = api->notifier();
-  const WaitStrategy mode = wait.resolve(notifier);
-  const TimePoint deadline = api->clock().now() + wait.timeout;
-  while (ready.size() < n && !pending_ids.empty()) {
-    // Version before the batch probe: a report committing between the probe
-    // and the wait below moves the result channel, so the wait returns
-    // immediately instead of sleeping through the completion.
-    const std::uint64_t seen =
-        mode == WaitStrategy::kNotify ? notifier->result_version() : 0;
-    Result<std::vector<TaskId>> completed = api->try_query_completed(
-        pending_ids, static_cast<int>(n - ready.size()));
-    if (!completed.ok()) return completed.error();
-    for (TaskId id : completed.value()) {
-      std::size_t idx = index_of.at(id);
-      // Resolve the future's result now: the input-queue entry is popped,
-      // so the cached copy is the only remaining handle to it.
-      Result<std::string> r = futures[idx].try_result();
-      if (!r.ok() && r.code() != ErrorCode::kCanceled) return r.error();
-      ready.push_back(idx);
-      pending_ids.erase(
-          std::remove(pending_ids.begin(), pending_ids.end(), id),
-          pending_ids.end());
-    }
-    if (ready.size() >= n) break;
-    if (mode == WaitStrategy::kNotify) {
-      const Duration remaining = deadline - api->clock().now();
-      if (remaining <= 0.0) {
-        return Error(ErrorCode::kTimeout,
-                     "only " + std::to_string(ready.size()) + " of " +
-                         std::to_string(n) + " futures completed in time");
-      }
-      const Duration slice = wait.poll_delay > 0.0
-                                 ? std::min(wait.poll_delay, remaining)
-                                 : remaining;
-      notifier->wait_for_result(seen, slice);
-    } else {
-      if (api->clock().now() + wait.poll_delay > deadline) {
-        return Error(ErrorCode::kTimeout,
-                     "only " + std::to_string(ready.size()) + " of " +
-                         std::to_string(n) + " futures completed in time");
-      }
-      api->sleep(wait.poll_delay);
-    }
-  }
-  if (ready.size() < n) {
-    return Error(ErrorCode::kTimeout, "no more futures can complete");
-  }
+  std::optional<NotifierChannel> channel;
+  if (wait.resolve(notifier) == WaitStrategy::kNotify) channel.emplace(*notifier);
+  Status waited = wait_until(
+      wait, api->clock(), [api](Duration d) { api->sleep(d); },
+      channel ? &*channel : nullptr,
+      [&]() -> Result<ProbeOutcome> {
+        if (pending_ids.empty()) {
+          return Error(ErrorCode::kTimeout, "no more futures can complete");
+        }
+        // One batch probe for every pending future.
+        Result<std::vector<TaskId>> completed = api->try_query_completed(
+            pending_ids, static_cast<int>(n - ready.size()));
+        if (!completed.ok()) return completed.error();
+        for (TaskId id : completed.value()) {
+          std::size_t idx = index_of.at(id);
+          // Resolve the future's result now: the input-queue entry is
+          // popped, so the cached copy is the only remaining handle to it.
+          Result<std::string> r = futures[idx].try_result();
+          if (!r.ok() && r.code() != ErrorCode::kCanceled) return r.error();
+          ready.push_back(idx);
+          pending_ids.erase(
+              std::remove(pending_ids.begin(), pending_ids.end(), id),
+              pending_ids.end());
+        }
+        return ready.size() >= n ? ProbeOutcome::kDone : ProbeOutcome::kNotYet;
+      },
+      [&] {
+        return "only " + std::to_string(ready.size()) + " of " +
+               std::to_string(n) + " futures completed in time";
+      });
+  if (!waited.is_ok()) return waited.error();
   return ready;
 }
 

@@ -8,15 +8,6 @@
 
 namespace osprey::eqsql {
 
-const char* wait_strategy_name(WaitStrategy s) {
-  switch (s) {
-    case WaitStrategy::kAuto: return "auto";
-    case WaitStrategy::kNotify: return "notify";
-    case WaitStrategy::kPoll: return "poll";
-  }
-  return "?";
-}
-
 Notifier::Notifier()
     : obs_commits_(
           obs::telemetry().metrics.counter("osprey_notify_commits_total")),
@@ -53,23 +44,13 @@ const std::atomic<std::uint64_t>& Notifier::work_channel(WorkType eq_type) {
   return channel(eq_type).version;
 }
 
-bool Notifier::wait_for_work(WorkType eq_type, std::uint64_t seen,
-                             Duration timeout) {
-  const std::atomic<std::uint64_t>& version = channel(eq_type).version;
-  if (version.load(std::memory_order_acquire) != seen) return true;
+bool Notifier::wait_past(const std::atomic<std::uint64_t>& channel,
+                         std::uint64_t seen, Duration timeout) {
+  if (channel.load(std::memory_order_acquire) != seen) return true;
   if (timeout <= 0.0) return false;
   std::unique_lock<std::mutex> lock(wait_mutex_);
   return wait_cv_.wait_for(lock, std::chrono::duration<double>(timeout), [&] {
-    return version.load(std::memory_order_acquire) != seen;
-  });
-}
-
-bool Notifier::wait_for_result(std::uint64_t seen, Duration timeout) {
-  if (result_version_.load(std::memory_order_acquire) != seen) return true;
-  if (timeout <= 0.0) return false;
-  std::unique_lock<std::mutex> lock(wait_mutex_);
-  return wait_cv_.wait_for(lock, std::chrono::duration<double>(timeout), [&] {
-    return result_version_.load(std::memory_order_acquire) != seen;
+    return channel.load(std::memory_order_acquire) != seen;
   });
 }
 

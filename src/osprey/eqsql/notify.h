@@ -19,8 +19,8 @@
 // — so a wakeup between probe and block is never lost. Blocking comes in two
 // flavors matching the two runtimes:
 //
-//   - wait_for_work / wait_for_result: condition-variable waits for threaded
-//     callers (ThreadedWorkerPool, blocking query_task/query_result);
+//   - wait_past: a condition-variable wait for threaded callers, reached
+//     through NotifierChannel by the shared wait loop (wait.h);
 //   - on_work / on_result listeners: synchronous callbacks fired from the
 //     commit path, which the simulation turns into zero-delay scheduled
 //     events so chaos and replay runs stay bit-deterministic.
@@ -98,15 +98,13 @@ class Notifier : public db::CommitObserver {
 
   // --- blocking waits (threaded runtime) -------------------------------------
 
-  /// Block until the work channel for `eq_type` moves past `seen` or
-  /// `timeout` (real time) elapses. Returns true when the version moved.
-  /// Protocol: sample the version, probe the database, then wait — the
-  /// version predicate makes a signal between probe and wait a fast return,
-  /// never a lost wakeup.
-  bool wait_for_work(WorkType eq_type, std::uint64_t seen, Duration timeout);
-
-  /// Same for the result channel.
-  bool wait_for_result(std::uint64_t seen, Duration timeout);
+  /// Block until `channel` — one of this notifier's work or result channel
+  /// counters — moves past `seen` or `timeout` (real time) elapses. Returns
+  /// true when the version moved. Protocol: sample the version, probe the
+  /// database, then wait — the version predicate makes a signal between
+  /// probe and wait a fast return, never a lost wakeup.
+  bool wait_past(const std::atomic<std::uint64_t>& channel, std::uint64_t seen,
+                 Duration timeout);
 
   // --- listeners (simulation runtime and pools) ------------------------------
 

@@ -13,15 +13,23 @@
 //   - WaitRouting says *where* the waiting machinery plugs in: the sleeper
 //     used by poll-mode waits, the replica-servable result probe, and the
 //     Notifier whose commit wakeups end the wait early.
+//   - wait_until is the one blocking loop behind every one of those calls:
+//     EQSQL::query_task / query_result, eqsql::as_completed (and so
+//     pop_completed), ShardRouter::query_task / as_completed, and the C
+//     API's claim. Each caller supplies only a probe and, in notify mode, a
+//     WaitChannel to block on.
 //
 // The positional WaitSpec(delay, timeout) constructor keeps the paper's
 // `query_result(id, {delay, timeout})` call shape compiling with its exact
 // polling behavior.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <string>
 
+#include "osprey/core/clock.h"
 #include "osprey/core/error.h"
 #include "osprey/core/types.h"
 #include "osprey/eqsql/task.h"
@@ -125,5 +133,61 @@ struct WaitRouting {
   /// via WaitSpec::resolve). The notifier must outlive the EQSQL handle.
   Notifier* notifier = nullptr;
 };
+
+/// A wakeup source for wait_until: a version counter that moves whenever a
+/// commit may have changed a probe's answer. Sample version() before the
+/// probe and wait past it after, so a commit landing between the two makes
+/// the wait return at once instead of being lost.
+class WaitChannel {
+ public:
+  WaitChannel() = default;
+  WaitChannel(const WaitChannel&) = delete;
+  WaitChannel& operator=(const WaitChannel&) = delete;
+  virtual ~WaitChannel() = default;
+
+  virtual std::uint64_t version() const = 0;
+
+  /// Block until the version moves past `seen` or `timeout` (real time)
+  /// elapses; true when the version moved.
+  virtual bool wait_past(std::uint64_t seen, Duration timeout) = 0;
+};
+
+/// One Notifier channel as a WaitChannel: a work type's "tasks queued"
+/// channel, or (no type given) the "result or cancellation landed" channel.
+/// The notifier must outlive the channel.
+class NotifierChannel final : public WaitChannel {
+ public:
+  NotifierChannel(Notifier& notifier, WorkType eq_type);
+  explicit NotifierChannel(Notifier& notifier);
+
+  std::uint64_t version() const override {
+    return version_.load(std::memory_order_acquire);
+  }
+  bool wait_past(std::uint64_t seen, Duration timeout) override;
+
+ private:
+  Notifier& notifier_;
+  const std::atomic<std::uint64_t>& version_;
+};
+
+/// What one probe of a blocking wait found (a failure is the Result's error).
+enum class ProbeOutcome { kDone, kNotYet };
+
+using WaitProbe = std::function<Result<ProbeOutcome>()>;
+
+/// Builds a timed-out wait's error message from the caller's state then.
+using TimeoutMessage = std::function<std::string()>;
+
+/// The blocking-wait loop every blocking call shares. Each round samples the
+/// channel's version, runs `probe`, and only then blocks: on `channel` for
+/// at most one poll slice (notify mode), or without one on `sleeper` for the
+/// poll delay. Delays grow by poll_backoff per empty probe, capped at
+/// poll_max_delay. Returns OK on kDone, the probe's error as soon as it
+/// fails, and kTimeout with `timeout_message()` once `wait.timeout` (on
+/// `clock`) runs out. Records the osprey_eqsql_wait_* telemetry.
+Status wait_until(const WaitSpec& wait, const Clock& clock,
+                  const Sleeper& sleeper, WaitChannel* channel,
+                  const WaitProbe& probe,
+                  const TimeoutMessage& timeout_message);
 
 }  // namespace osprey::eqsql

@@ -55,6 +55,14 @@ ShardId shard_for(const ShardSpec& spec, WorkType eq_type,
                                           : shard_of_work_type(spec, eq_type);
 }
 
+std::vector<ShardId> rotation_order(std::uint64_t start, std::uint32_t count) {
+  std::vector<ShardId> order(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    order[i] = static_cast<ShardId>((start + i) % count);
+  }
+  return order;
+}
+
 std::vector<TaskId> merge_completed(
     const std::vector<std::vector<TaskId>>& per_shard, std::size_t limit) {
   std::vector<TaskId> merged;

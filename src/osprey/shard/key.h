@@ -70,6 +70,11 @@ ShardId shard_of_exp(const ShardSpec& spec, const ExpId& exp_id);
 /// Dispatch on spec.key: the shard a (work type, experiment) pair routes to.
 ShardId shard_for(const ShardSpec& spec, WorkType eq_type, const ExpId& exp_id);
 
+/// The order a scatter probes `count` shards in: shard `start % count`
+/// first, then each other shard once, wrapping. Callers advance `start` per
+/// scatter, so no shard is always probed first and none starves.
+std::vector<ShardId> rotation_order(std::uint64_t start, std::uint32_t count);
+
 // --- global task-id encoding -------------------------------------------------
 //
 // global = local | (shard << kShardIdShift). Local ids are dense per-shard

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
-#include "osprey/core/retry.h"
 #include "osprey/obs/telemetry.h"
 
 namespace osprey::shard {
@@ -48,24 +46,18 @@ ShardObs& shard_obs() {
   return obs;
 }
 
-/// The poll-delay sequence for blocking loops — the same RetryState the
-/// EQSQL blocking calls use, so a sharded wait backs off identically to an
-/// unsharded one.
-RetryState poll_waiter(const eqsql::WaitSpec& wait) {
-  RetryPolicy policy;
-  policy.max_attempts = std::numeric_limits<int>::max();
-  policy.initial_backoff = wait.poll_delay;
-  policy.multiplier = wait.poll_backoff;
-  policy.max_backoff = wait.poll_max_delay;
-  policy.jitter = 0.0;
-  policy.budget = 0.0;
-  return RetryState(policy, 0, "shard.poll");
-}
-
 /// A shard outage mid-wait is a retryable condition for blocking calls: the
 /// probe re-resolves the shard leader next round, so a failover in the wait
 /// window costs retries, not an error.
 bool retryable(ErrorCode code) { return code == ErrorCode::kUnavailable; }
+
+/// The error for a global id whose shard bits name no shard of the cluster.
+Error unrouted(TaskId global_id, std::uint32_t shard_count) {
+  return Error(ErrorCode::kInvalidArgument,
+               "task " + std::to_string(global_id) + " routes to shard " +
+                   std::to_string(shard_of_task(global_id)) + " of " +
+                   std::to_string(shard_count));
+}
 
 }  // namespace
 
@@ -124,14 +116,8 @@ ShardRouter::ShardRouter(ShardCluster& cluster, ShardRouterConfig config)
 }
 
 std::vector<ShardId> ShardRouter::rotation() {
-  const std::uint32_t count = shard_count();
-  const auto start = static_cast<ShardId>(
-      rr_.fetch_add(1, std::memory_order_relaxed) % count);
-  std::vector<ShardId> order(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    order[i] = static_cast<ShardId>((start + i) % count);
-  }
-  return order;
+  return rotation_order(rr_.fetch_add(1, std::memory_order_relaxed),
+                        shard_count());
 }
 
 Result<TaskId> ShardRouter::submit_task(const ExpId& exp_id, WorkType eq_type,
@@ -205,15 +191,7 @@ std::vector<tenant::TenantStats> ShardRouter::tenant_stats() {
     if (registry == nullptr) continue;
     for (const tenant::TenantStats& row : registry->stats()) {
       auto [it, inserted] = merged.try_emplace(row.tenant, row);
-      if (inserted) continue;
-      tenant::TenantStats& sum = it->second;
-      sum.queued += row.queued;
-      sum.running += row.running;
-      sum.admitted += row.admitted;
-      sum.rejected += row.rejected;
-      sum.claimed += row.claimed;
-      sum.completed += row.completed;
-      sum.cost_task_seconds += row.cost_task_seconds;
+      if (!inserted) it->second.merge(row);
     }
   }
   std::vector<tenant::TenantStats> out;
@@ -222,12 +200,13 @@ std::vector<tenant::TenantStats> ShardRouter::tenant_stats() {
   return out;
 }
 
-Status ShardRouter::gather_tasks(WorkType eq_type, int budget,
-                                 const PoolId& worker_pool,
-                                 std::vector<eqsql::TaskHandle>* out) {
+Result<std::vector<eqsql::TaskHandle>> ShardRouter::try_query_tasks(
+    WorkType eq_type, int n, const PoolId& worker_pool) {
+  std::vector<eqsql::TaskHandle> out;
+  if (n <= 0) return out;
   // Work-type keying: the type's whole queue lives on one shard. Experiment
   // keying spreads a type across shards, so the claim sweeps the rotation
-  // until the budget is filled.
+  // until n tasks are gathered.
   std::vector<ShardId> shards;
   if (cluster_.spec().key == ShardKeyKind::kWorkType) {
     shards.push_back(shard_of(eq_type));
@@ -238,7 +217,7 @@ Status ShardRouter::gather_tasks(WorkType eq_type, int budget,
   std::size_t failed = 0;
   Error last_error;
   for (ShardId s : shards) {
-    const int want = budget - static_cast<int>(out->size());
+    const int want = n - static_cast<int>(out.size());
     if (want <= 0) break;
     Result<std::vector<eqsql::TaskHandle>> claimed =
         routers_[s]->try_query_tasks(eq_type, want, worker_pool);
@@ -252,7 +231,7 @@ Status ShardRouter::gather_tasks(WorkType eq_type, int budget,
     }
     for (eqsql::TaskHandle& handle : claimed.value()) {
       handle.eq_task_id = global_task_id(handle.eq_task_id, s);
-      out->push_back(std::move(handle));
+      out.push_back(std::move(handle));
     }
   }
   if (failed == shards.size()) return last_error;  // every probe failed
@@ -265,82 +244,57 @@ Status ShardRouter::gather_tasks(WorkType eq_type, int budget,
       obs::observe_latency(o.scatter_latency, latency);
     }
   }
-  return Status::ok();
-}
-
-Result<std::vector<eqsql::TaskHandle>> ShardRouter::try_query_tasks(
-    WorkType eq_type, int n, const PoolId& worker_pool) {
-  if (n <= 0) return std::vector<eqsql::TaskHandle>{};
-  std::vector<eqsql::TaskHandle> handles;
-  Status gathered = gather_tasks(eq_type, n, worker_pool, &handles);
-  if (!gathered.is_ok()) return gathered.error();
-  return handles;
+  return out;
 }
 
 Result<std::vector<eqsql::TaskHandle>> ShardRouter::query_task(
     WorkType eq_type, int n, const PoolId& worker_pool, eqsql::WaitSpec wait) {
-  const Clock& clock = cluster_.clock();
-  const TimePoint deadline = clock.now() + wait.timeout;
-  RetryState waiter = poll_waiter(wait);
-
   // Notify mode needs every relevant shard's notifier: a shard without one
   // could complete work the union never hears about, so any gap degrades
   // the whole wait to polling.
   std::vector<eqsql::Notifier*> notifiers;
-  const bool single = cluster_.spec().key == ShardKeyKind::kWorkType;
-  const std::uint32_t fanout = single ? 1 : shard_count();
-  bool all_notify = true;
-  for (std::uint32_t i = 0; i < fanout; ++i) {
-    const ShardId s = single ? shard_of(eq_type) : static_cast<ShardId>(i);
-    eqsql::Notifier* notifier = cluster_.notifier(s);
-    if (notifier == nullptr) all_notify = false;
-    notifiers.push_back(notifier);
+  if (cluster_.spec().key == ShardKeyKind::kWorkType) {
+    notifiers.push_back(cluster_.notifier(shard_of(eq_type)));
+  } else {
+    for (ShardId s = 0; s < shard_count(); ++s) {
+      notifiers.push_back(cluster_.notifier(s));
+    }
   }
-  const bool use_notify =
-      wait.strategy != eqsql::WaitStrategy::kPoll && all_notify;
   std::unique_ptr<UnionWaiter> channel;
-  if (use_notify) {
+  if (wait.strategy != eqsql::WaitStrategy::kPoll &&
+      std::find(notifiers.begin(), notifiers.end(), nullptr) ==
+          notifiers.end()) {
     channel = std::make_unique<UnionWaiter>(notifiers, eq_type);
   }
 
-  while (true) {
-    const std::uint64_t seen = channel ? channel->version() : 0;
-    Result<std::vector<eqsql::TaskHandle>> handles =
-        try_query_tasks(eq_type, n, worker_pool);
-    if (!handles.ok() && !retryable(handles.code())) return handles;
-    if (handles.ok() && !handles.value().empty()) return handles;
-    Duration delay = wait.poll_delay;
-    waiter.next_delay(&delay);
-    if (channel) {
-      const Duration remaining = deadline - clock.now();
-      if (remaining <= 0.0) {
-        return Error(ErrorCode::kTimeout,
-                     "no task of type " + std::to_string(eq_type) +
-                         " within " + std::to_string(wait.timeout) + "s");
-      }
-      const Duration slice =
-          delay > 0.0 ? std::min(delay, remaining) : remaining;
-      channel->wait_past(seen, slice);
-    } else {
-      if (clock.now() + delay > deadline) {
-        return Error(ErrorCode::kTimeout,
-                     "no task of type " + std::to_string(eq_type) +
-                         " within " + std::to_string(wait.timeout) + "s");
-      }
-      config_.sleeper(delay);
-    }
-  }
+  // Each probe re-resolves the shard leader, so the wait survives a
+  // mid-wait failover.
+  std::vector<eqsql::TaskHandle> claimed;
+  Status waited = eqsql::wait_until(
+      wait, cluster_.clock(), config_.sleeper, channel.get(),
+      [&]() -> Result<eqsql::ProbeOutcome> {
+        Result<std::vector<eqsql::TaskHandle>> handles =
+            try_query_tasks(eq_type, n, worker_pool);
+        if (!handles.ok()) {
+          if (retryable(handles.code())) return eqsql::ProbeOutcome::kNotYet;
+          return handles.error();
+        }
+        if (handles.value().empty()) return eqsql::ProbeOutcome::kNotYet;
+        claimed = std::move(handles).take();
+        return eqsql::ProbeOutcome::kDone;
+      },
+      [&] {
+        return "no task of type " + std::to_string(eq_type) + " within " +
+               std::to_string(wait.timeout) + "s";
+      });
+  if (!waited.is_ok()) return waited.error();
+  return claimed;
 }
 
 Status ShardRouter::report_task(TaskId global_id, WorkType eq_type,
                                 const std::string& result) {
   const ShardId s = shard_of_task(global_id);
-  if (s >= shard_count()) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "task " + std::to_string(global_id) + " routes to shard " +
-                      std::to_string(s) + " of " +
-                      std::to_string(shard_count()));
-  }
+  if (s >= shard_count()) return unrouted(global_id, shard_count());
   return routers_[s]->report_task(local_task_id(global_id), eq_type, result);
 }
 
@@ -348,12 +302,7 @@ Status ShardRouter::report_task_at_epoch(repl::Epoch epoch, TaskId global_id,
                                          WorkType eq_type,
                                          const std::string& result) {
   const ShardId s = shard_of_task(global_id);
-  if (s >= shard_count()) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "task " + std::to_string(global_id) + " routes to shard " +
-                      std::to_string(s) + " of " +
-                      std::to_string(shard_count()));
-  }
+  if (s >= shard_count()) return unrouted(global_id, shard_count());
   const std::uint64_t fenced_before = routers_[s]->fenced_writes();
   Status status = routers_[s]->report_task_at_epoch(
       epoch, local_task_id(global_id), eq_type, result);
@@ -365,11 +314,7 @@ Status ShardRouter::report_task_at_epoch(repl::Epoch epoch, TaskId global_id,
 
 Result<std::string> ShardRouter::try_query_result(TaskId global_id) {
   const ShardId s = shard_of_task(global_id);
-  if (s >= shard_count()) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "task " + std::to_string(global_id) + " routes to shard " +
-                     std::to_string(s) + " of " + std::to_string(shard_count()));
-  }
+  if (s >= shard_count()) return unrouted(global_id, shard_count());
   return routers_[s]->try_query_result(local_task_id(global_id));
 }
 
@@ -379,12 +324,7 @@ Result<std::size_t> ShardRouter::requeue_tasks(
   std::vector<std::vector<TaskId>> per_shard(shard_count());
   for (TaskId id : global_ids) {
     const ShardId s = shard_of_task(id);
-    if (s >= shard_count()) {
-      return Error(ErrorCode::kInvalidArgument,
-                   "task " + std::to_string(id) + " routes to shard " +
-                       std::to_string(s) + " of " +
-                       std::to_string(shard_count()));
-    }
+    if (s >= shard_count()) return unrouted(id, shard_count());
     per_shard[s].push_back(local_task_id(id));
   }
   std::size_t requeued = 0;
@@ -440,21 +380,13 @@ pool::PoolBackend ShardRouter::pool_backend(WorkType eq_type) {
 
 Result<std::string> ShardRouter::peek_result(TaskId global_id) {
   const ShardId s = shard_of_task(global_id);
-  if (s >= shard_count()) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "task " + std::to_string(global_id) + " routes to shard " +
-                     std::to_string(s) + " of " + std::to_string(shard_count()));
-  }
+  if (s >= shard_count()) return unrouted(global_id, shard_count());
   return routers_[s]->peek_result(local_task_id(global_id));
 }
 
 Result<eqsql::TaskStatus> ShardRouter::task_status(TaskId global_id) {
   const ShardId s = shard_of_task(global_id);
-  if (s >= shard_count()) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "task " + std::to_string(global_id) + " routes to shard " +
-                     std::to_string(s) + " of " + std::to_string(shard_count()));
-  }
+  if (s >= shard_count()) return unrouted(global_id, shard_count());
   return routers_[s]->task_status(local_task_id(global_id));
 }
 
@@ -498,13 +430,7 @@ Result<eqsql::QueueStats> ShardRouter::stats() {
       last_error = stats.error();
       continue;
     }
-    const eqsql::QueueStats& st = stats.value();
-    total.output_queue += st.output_queue;
-    total.input_queue += st.input_queue;
-    total.queued += st.queued;
-    total.running += st.running;
-    total.complete += st.complete;
-    total.canceled += st.canceled;
+    total.merge(stats.value());
     ++succeeded;
   }
   if (succeeded == 0) return last_error;
@@ -526,12 +452,7 @@ Result<std::vector<TaskId>> ShardRouter::try_query_completed(
   std::unordered_map<ShardId, std::vector<TaskId>> locals;
   for (TaskId id : global_ids) {
     const ShardId s = shard_of_task(id);
-    if (s >= shard_count()) {
-      return Error(ErrorCode::kInvalidArgument,
-                   "task " + std::to_string(id) + " routes to shard " +
-                       std::to_string(s) + " of " +
-                       std::to_string(shard_count()));
-    }
+    if (s >= shard_count()) return unrouted(id, shard_count());
     locals[s].push_back(local_task_id(id));
   }
   obs::Stopwatch latency;
@@ -589,69 +510,50 @@ Result<std::vector<TaskId>> ShardRouter::as_completed(
                  "waiting for " + std::to_string(n) + " of " +
                      std::to_string(global_ids.size()) + " tasks");
   }
-  const Clock& clock = cluster_.clock();
-  const TimePoint deadline = clock.now() + wait.timeout;
-  RetryState waiter = poll_waiter(wait);
-
   // The union wait covers the result channels of exactly the owning shards:
   // a completion on any of them wakes the waiter; shards holding none of
   // the ids are neither probed nor subscribed.
   std::vector<eqsql::Notifier*> notifiers;
-  bool all_notify = true;
   {
     std::unordered_set<ShardId> owners;
     for (TaskId id : global_ids) owners.insert(shard_of_task(id));
     for (ShardId s : owners) {
-      eqsql::Notifier* notifier =
-          s < shard_count() ? cluster_.notifier(s) : nullptr;
-      if (notifier == nullptr) all_notify = false;
-      notifiers.push_back(notifier);
+      notifiers.push_back(s < shard_count() ? cluster_.notifier(s) : nullptr);
     }
   }
-  const bool use_notify =
-      wait.strategy != eqsql::WaitStrategy::kPoll && all_notify;
   std::unique_ptr<UnionWaiter> channel;
-  if (use_notify) channel = std::make_unique<UnionWaiter>(notifiers);
+  if (wait.strategy != eqsql::WaitStrategy::kPoll &&
+      std::find(notifiers.begin(), notifiers.end(), nullptr) ==
+          notifiers.end()) {
+    channel = std::make_unique<UnionWaiter>(notifiers);
+  }
 
   std::vector<TaskId> pending = global_ids;
   std::vector<TaskId> done;
   done.reserve(n);
-  while (true) {
-    const std::uint64_t seen = channel ? channel->version() : 0;
-    Result<std::vector<TaskId>> completed =
-        try_query_completed(pending, static_cast<int>(n - done.size()));
-    if (!completed.ok() && !retryable(completed.code())) return completed;
-    if (completed.ok()) {
-      for (TaskId id : completed.value()) {
-        done.push_back(id);
-        pending.erase(std::remove(pending.begin(), pending.end(), id),
-                      pending.end());
-      }
-      if (done.size() >= n) return done;
-    }
-    Duration delay = wait.poll_delay;
-    waiter.next_delay(&delay);
-    if (channel) {
-      const Duration remaining = deadline - clock.now();
-      if (remaining <= 0.0) {
-        return Error(ErrorCode::kTimeout,
-                     std::to_string(done.size()) + " of " + std::to_string(n) +
-                         " tasks complete within " +
-                         std::to_string(wait.timeout) + "s");
-      }
-      const Duration slice =
-          delay > 0.0 ? std::min(delay, remaining) : remaining;
-      channel->wait_past(seen, slice);
-    } else {
-      if (clock.now() + delay > deadline) {
-        return Error(ErrorCode::kTimeout,
-                     std::to_string(done.size()) + " of " + std::to_string(n) +
-                         " tasks complete within " +
-                         std::to_string(wait.timeout) + "s");
-      }
-      config_.sleeper(delay);
-    }
-  }
+  Status waited = eqsql::wait_until(
+      wait, cluster_.clock(), config_.sleeper, channel.get(),
+      [&]() -> Result<eqsql::ProbeOutcome> {
+        Result<std::vector<TaskId>> completed =
+            try_query_completed(pending, static_cast<int>(n - done.size()));
+        if (!completed.ok()) {
+          if (retryable(completed.code())) return eqsql::ProbeOutcome::kNotYet;
+          return completed.error();
+        }
+        for (TaskId id : completed.value()) {
+          done.push_back(id);
+          pending.erase(std::remove(pending.begin(), pending.end(), id),
+                        pending.end());
+        }
+        return done.size() >= n ? eqsql::ProbeOutcome::kDone
+                                : eqsql::ProbeOutcome::kNotYet;
+      },
+      [&] {
+        return std::to_string(done.size()) + " of " + std::to_string(n) +
+               " tasks complete within " + std::to_string(wait.timeout) + "s";
+      });
+  if (!waited.is_ok()) return waited.error();
+  return done;
 }
 
 Result<TaskId> ShardRouter::pop_completed(std::vector<TaskId>& global_ids,

@@ -46,30 +46,28 @@ namespace osprey::shard {
 /// A single wait primitive over many shards' notification channels: the
 /// union version counter moves whenever any subscribed channel fires, so a
 /// threaded waiter can block on "a result landed on any owning shard"
-/// instead of polling each shard in turn. Subscribes on construction,
+/// instead of polling each shard in turn. It is the WaitChannel of every
+/// scatter wait (ShardRouter's and the C API's). Subscribes on construction,
 /// unsubscribes in the destructor (after which no callback is in flight —
 /// Notifier::remove_listener guarantees that).
-class UnionWaiter {
+class UnionWaiter final : public eqsql::WaitChannel {
  public:
   /// Union of the work channels for `eq_type` on the given notifiers.
   UnionWaiter(const std::vector<eqsql::Notifier*>& notifiers,
               WorkType eq_type);
   /// Union of the result channels on the given notifiers.
   explicit UnionWaiter(const std::vector<eqsql::Notifier*>& notifiers);
-  ~UnionWaiter();
-
-  UnionWaiter(const UnionWaiter&) = delete;
-  UnionWaiter& operator=(const UnionWaiter&) = delete;
+  ~UnionWaiter() override;
 
   /// Current union version. Sample before the probe, wait past it after —
   /// the same lost-wakeup-free protocol as Notifier's channels.
-  std::uint64_t version() const {
+  std::uint64_t version() const override {
     return version_.load(std::memory_order_acquire);
   }
 
   /// Block until the union version moves past `seen` or `timeout` (real
   /// time) elapses; true when the version moved.
-  bool wait_past(std::uint64_t seen, Duration timeout);
+  bool wait_past(std::uint64_t seen, Duration timeout) override;
 
  private:
   struct Subscription {
@@ -234,15 +232,9 @@ class ShardRouter {
   const ShardRouterConfig& config() const { return config_; }
 
  private:
-  /// Rotation order over all shards for this scatter: a starting shard from
-  /// the rotating cursor, then each shard once.
+  /// Rotation order over all shards for this scatter: rotation_order from
+  /// the rotating cursor.
   std::vector<ShardId> rotation();
-
-  /// One claim sweep over the relevant shards; appends up to `budget`
-  /// handles (globalized) to `out`. Records dead shards per the tolerance
-  /// policy; returns an error only when the whole sweep failed.
-  Status gather_tasks(WorkType eq_type, int budget, const PoolId& worker_pool,
-                      std::vector<eqsql::TaskHandle>* out);
 
   ShardCluster& cluster_;
   ShardRouterConfig config_;

@@ -66,6 +66,22 @@ struct StorageStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t read_errors = 0;     // failed block reads (dead device)
+
+  /// Add another engine's counters: the cross-shard sum.
+  void merge(const StorageStats& other) {
+    memtable_bytes += other.memtable_bytes;
+    memtable_rows += other.memtable_rows;
+    spilled_rows += other.spilled_rows;
+    runs += other.runs;
+    run_bytes += other.run_bytes;
+    zombie_runs += other.zombie_runs;
+    flushes += other.flushes;
+    flush_failures += other.flush_failures;
+    compactions += other.compactions;
+    cache_hits += other.cache_hits;
+    cache_misses += other.cache_misses;
+    read_errors += other.read_errors;
+  }
 };
 
 class StorageEngine;

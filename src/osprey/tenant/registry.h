@@ -69,6 +69,18 @@ struct TenantStats {
   std::uint64_t claimed = 0;   // tasks handed to pools
   std::uint64_t completed = 0; // tasks finished (reported or canceled)
   double cost_task_seconds = 0.0;  // accumulated task runtime (cost unit)
+
+  /// Add another shard's row for the same tenant: counters, depths and cost
+  /// sum; the config stays (every shard runs the same per-shard policy).
+  void merge(const TenantStats& other) {
+    queued += other.queued;
+    running += other.running;
+    admitted += other.admitted;
+    rejected += other.rejected;
+    claimed += other.claimed;
+    completed += other.completed;
+    cost_task_seconds += other.cost_task_seconds;
+  }
 };
 
 class TenantRegistry {

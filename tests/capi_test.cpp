@@ -6,6 +6,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "osprey/capi/osprey_c.h"
@@ -102,6 +103,50 @@ TEST_F(CApiTest, BufferTooSmallFailsWithoutOverflow) {
   EXPECT_EQ(osprey_query_task(client_, 1, "p", 0.005, 0.05, &claimed, tiny,
                               sizeof(tiny)),
             OSPREY_E_INVALID_ARGUMENT);
+
+  // The refused claim hands its task back rather than leaking the lease: a
+  // retry with a large buffer claims the same id and payload. Both keyings
+  // (here the one-shard service and two exp-id shards, whose claim
+  // scatters) and both claim entry points (v1 osprey_query_task_wait, v2).
+  osprey_service* sharded = osprey_service_create();
+  ASSERT_EQ(osprey_service_configure_shards(sharded, 2, OSPREY_SHARD_KEY_EXP_ID,
+                                            OSPREY_SHARD_HASH),
+            OSPREY_OK);
+  ASSERT_EQ(osprey_service_start(sharded), OSPREY_OK);
+  osprey_client* sharded_client = osprey_client_connect(sharded);
+  ASSERT_NE(sharded_client, nullptr);
+  const char* kPayload = "[1234567890, 1234567890, 1234567890]";
+  for (osprey_client* client : {client_, sharded_client}) {
+    for (bool v2 : {false, true}) {
+      SCOPED_TRACE(std::string(client == client_ ? "one shard" : "exp-id") +
+                   (v2 ? ", v2" : ", v1"));
+      osprey_task_spec_t task;
+      osprey_task_spec_init(&task);
+      task.exp_id = "exp";
+      task.eq_type = 2;
+      task.payload = kPayload;
+      ASSERT_EQ(osprey_submit_task_v2(client, &task, &task_id), OSPREY_OK);
+      osprey_claim_spec_t spec;
+      osprey_claim_spec_init(&spec);
+      spec.eq_type = 2;
+      spec.wait.strategy = OSPREY_WAIT_POLL;
+      spec.wait.poll_delay = 0.005;
+      spec.wait.timeout = 0.05;
+      auto claim = [&](char* buffer, size_t size) {
+        return v2 ? osprey_query_task_v2(client, &spec, &claimed, buffer, size)
+                  : osprey_query_task_wait(client, 2, nullptr, &spec.wait,
+                                           &claimed, buffer, size);
+      };
+      EXPECT_EQ(claim(tiny, sizeof(tiny)), OSPREY_E_INVALID_ARGUMENT);
+      char payload[64];
+      ASSERT_EQ(claim(payload, sizeof(payload)), OSPREY_OK);
+      EXPECT_EQ(claimed, task_id);
+      EXPECT_STREQ(payload, kPayload);
+      ASSERT_EQ(osprey_report_task(client, claimed, 2, "{}"), OSPREY_OK);
+    }
+  }
+  osprey_client_destroy(sharded_client);
+  osprey_service_destroy(sharded);
 }
 
 TEST_F(CApiTest, CancelAndReprioritizeBatches) {

@@ -368,6 +368,23 @@ TEST_F(EqsqlTest, AsCompletedTimesOut) {
   auto futures = submit_task_futures(*api_, "e", kSimWork, {"a", "b"}).value();
   auto r = as_completed(futures, 1, 1.5);
   EXPECT_EQ(r.code(), ErrorCode::kTimeout);
+
+  // Poll mode follows the WaitSpec cadence: each empty probe doubles the
+  // sleep (poll_backoff 2) until it reaches poll_max_delay.
+  std::vector<Duration> sleeps;
+  WaitRouting routing;
+  routing.sleeper = [&](Duration d) {
+    sleeps.push_back(d);
+    clock_.advance(d);
+  };
+  api_->set_wait_routing(std::move(routing));
+  r = as_completed(futures, 1, WaitSpec(0.1, 2.0, 2.0, 0.5));
+  EXPECT_EQ(r.code(), ErrorCode::kTimeout);
+  const std::vector<Duration> expected = {0.1, 0.2, 0.4, 0.5, 0.5};
+  ASSERT_EQ(sleeps.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_DOUBLE_EQ(sleeps[i], expected[i]) << "sleep " << i;
+  }
 }
 
 TEST_F(EqsqlTest, PopCompletedRemovesFromList) {

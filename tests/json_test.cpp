@@ -115,6 +115,10 @@ struct BadCase {
   const char* text;
 };
 
+// Print a case by name: gtest's default byte dump of the struct holds
+// pointers, which would make the listed test names differ on every run.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
+
 class JsonParseErrorTest : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(JsonParseErrorTest, Rejects) {

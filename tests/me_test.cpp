@@ -14,6 +14,11 @@
 #include "osprey/me/task_runners.h"
 
 namespace osprey::me {
+
+// Print a surface by name: gtest's default byte dump of the struct holds
+// pointers, which would make the listed test names differ on every run.
+void PrintTo(const TestFunction& f, std::ostream* os) { *os << f.name; }
+
 namespace {
 
 // --- test functions -------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "osprey/capi/osprey_c.h"
 #include "osprey/db/dump.h"
 #include "osprey/db/wal.h"
 #include "osprey/eqsql/db_api.h"
@@ -282,6 +283,56 @@ TEST_F(NotifyThreadedTest, AsCompletedWakesOnReports) {
   worker.join();
   ASSERT_TRUE(done.ok());
   EXPECT_EQ(done.value().size(), 3u);
+}
+
+// The C API's exp-id claim scatters over every shard; in notify mode it
+// blocks on the union of the shards' work channels, so a submit on either
+// shard ends the wait at the commit rather than after a poll_delay sleep.
+TEST_F(NotifyThreadedTest, CApiScatterClaimWakesOnSubmit) {
+  osprey_service* service = osprey_service_create();
+  ASSERT_EQ(osprey_service_configure_shards(service, 2, OSPREY_SHARD_KEY_EXP_ID,
+                                            OSPREY_SHARD_HASH),
+            OSPREY_OK);
+  ASSERT_EQ(osprey_service_enable_notifications(service), OSPREY_OK);
+  ASSERT_EQ(osprey_service_start(service), OSPREY_OK);
+  osprey_client* worker = osprey_client_connect(service);
+  osprey_client* submitter = osprey_client_connect(service);
+  ASSERT_NE(worker, nullptr);
+  ASSERT_NE(submitter, nullptr);
+
+  int claimed = OSPREY_E_INTERNAL;
+  int64_t claimed_id = 0;
+  const auto started = std::chrono::steady_clock::now();
+  std::thread waiter([&] {
+    osprey_claim_spec_t spec;
+    osprey_claim_spec_init(&spec);
+    spec.eq_type = kSimWork;
+    spec.wait.strategy = OSPREY_WAIT_NOTIFY;
+    spec.wait.poll_delay = 5.0;  // the fallback slice a lost wakeup would cost
+    spec.wait.timeout = 10.0;
+    char payload[16];
+    claimed = osprey_query_task_v2(worker, &spec, &claimed_id, payload,
+                                   sizeof payload);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  osprey_task_spec_t task;
+  osprey_task_spec_init(&task);
+  task.exp_id = "e";
+  task.eq_type = kSimWork;
+  task.payload = "[1]";
+  int64_t submitted = 0;
+  EXPECT_EQ(osprey_submit_task_v2(submitter, &task, &submitted), OSPREY_OK);
+  waiter.join();
+  const double took = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - started)
+                          .count();
+  EXPECT_EQ(claimed, OSPREY_OK);
+  EXPECT_EQ(claimed_id, submitted);
+  EXPECT_LT(took, 1.0);
+
+  osprey_client_destroy(worker);
+  osprey_client_destroy(submitter);
+  osprey_service_destroy(service);
 }
 
 // Race hammer: many producers and many consumers on the same channels. The

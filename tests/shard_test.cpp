@@ -668,6 +668,57 @@ TEST(ShardCapiTest, ConfiguredShardsRouteTheWholeListingOneSurface) {
   osprey_service_destroy(service);
 }
 
+TEST(ShardCapiTest, ExpIdClaimsRotateAcrossBackloggedShards) {
+  osprey_service* service = osprey_service_create();
+  ASSERT_EQ(osprey_service_configure_shards(service, 2, OSPREY_SHARD_KEY_EXP_ID,
+                                            OSPREY_SHARD_HASH),
+            OSPREY_OK);
+  ASSERT_EQ(osprey_service_start(service), OSPREY_OK);
+  osprey_client* client = osprey_client_connect(service);
+  ASSERT_NE(client, nullptr);
+
+  // Find one experiment id per shard and backlog both shards.
+  std::string exp_on[2];
+  for (int i = 0; exp_on[0].empty() || exp_on[1].empty(); ++i) {
+    const std::string exp = "exp-" + std::to_string(i);
+    uint32_t s = 99;
+    ASSERT_EQ(osprey_shard_of(service, 1, exp.c_str(), &s), OSPREY_OK);
+    if (exp_on[s].empty()) exp_on[s] = exp;
+  }
+  for (const std::string& exp : exp_on) {
+    for (int i = 0; i < 10; ++i) {
+      osprey_task_spec_t task;
+      osprey_task_spec_init(&task);
+      task.exp_id = exp.c_str();
+      task.eq_type = 1;
+      task.payload = "{}";
+      int64_t id = 0;
+      ASSERT_EQ(osprey_submit_task_v2(client, &task, &id), OSPREY_OK);
+    }
+  }
+
+  // Each claim starts its scatter one shard further on, so consecutive
+  // claims alternate between the shards instead of draining shard 0 first.
+  osprey_claim_spec_t spec;
+  osprey_claim_spec_init(&spec);
+  spec.eq_type = 1;
+  int per_shard[2] = {0, 0};
+  for (int i = 0; i < 10; ++i) {
+    int64_t id = 0;
+    char payload[16];
+    ASSERT_EQ(osprey_query_task_v2(client, &spec, &id, payload, sizeof payload),
+              OSPREY_OK);
+    uint32_t s = 99;
+    ASSERT_EQ(osprey_shard_of_task(service, id, &s), OSPREY_OK);
+    ++per_shard[s];
+  }
+  EXPECT_EQ(per_shard[0], 5);
+  EXPECT_EQ(per_shard[1], 5);
+
+  osprey_client_destroy(client);
+  osprey_service_destroy(service);
+}
+
 TEST(ShardCapiTest, UnconfiguredServiceStaysSingleShardIdentity) {
   osprey_service* service = osprey_service_create();
   ASSERT_EQ(osprey_service_start(service), OSPREY_OK);
