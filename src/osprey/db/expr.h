@@ -80,8 +80,9 @@ std::vector<EqConstraint> extract_eq_constraints(
 /// Like extract_eq_constraints, but also recognizes `column IN (...)` with
 /// literal/param items (possibly under ANDs): each hit yields the column and
 /// the set of probe values. An equality is a one-value probe. Used by the
-/// table planner so the EQSQL hot path's `eq_task_id IN (?,...)` updates are
-/// index probes instead of full scans.
+/// table planner so equality and IN filters on an indexed column are index
+/// probes instead of full scans; the first indexed constraint in WHERE order
+/// is the one probed.
 struct InConstraint {
   std::string column;
   std::vector<Value> values;

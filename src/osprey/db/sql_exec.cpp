@@ -19,6 +19,11 @@ const Statement* Connection::cached_parse(const std::string& sql, Error* error) 
   return &inserted->second;
 }
 
+std::size_t Connection::cached_statements() const {
+  std::lock_guard<std::mutex> guard(cache_mutex_);
+  return statement_cache_.size();
+}
+
 namespace {
 
 bool statement_mutates(const Statement& stmt) {

@@ -3,7 +3,9 @@
 //
 // Connection::execute parses, plans, and runs one statement under the
 // database lock. Statements may carry '?' bind parameters. Parsed statements
-// are cached by SQL text, so the hot EMEWS queries (§IV-C) parse once.
+// are cached by SQL text, so the hot EMEWS queries (§IV-C) parse once. The
+// cache never evicts: a caller that builds statement text per call (say, an
+// IN list per list length) grows it without bound.
 #pragma once
 
 #include <memory>
@@ -48,6 +50,9 @@ class Connection {
 
   Database& database() { return db_; }
 
+  /// Number of distinct statement texts parsed and cached so far.
+  std::size_t cached_statements() const;
+
  private:
   Result<ExecResult> run(const Statement& stmt, const std::vector<Value>& params);
   Result<ExecResult> run_select(const SelectStmt& stmt,
@@ -58,7 +63,7 @@ class Connection {
   Database& db_;
   std::unique_ptr<Transaction> txn_;
   std::unordered_map<std::string, Statement> statement_cache_;
-  std::mutex cache_mutex_;
+  mutable std::mutex cache_mutex_;
 };
 
 }  // namespace osprey::db::sql

@@ -159,7 +159,9 @@ std::optional<RowId> Table::find_pk(const Value& key) const {
 Result<std::vector<RowId>> Table::candidates(const ScanOptions& options) const {
   // Planner: if WHERE contains `column = value` or `column IN (values)` on
   // an indexed column, probe the index and filter the (usually small)
-  // candidate set; otherwise full scan.
+  // candidate set; otherwise full scan. The first indexed constraint in
+  // WHERE order is probed, so EQSQL's single-id statements lead with
+  // `eq_task_id = ?`: a point probe, not a walk of the eq_status index.
   if (options.where) {
     for (const InConstraint& c :
          extract_index_probes(*options.where, options.params)) {

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "osprey/db/codec.h"
 #include "osprey/db/dump.h"
 #include "osprey/obs/telemetry.h"
 
@@ -50,123 +51,14 @@ constexpr std::size_t kWalHeaderBytes = sizeof(kWalMagic) + 8;
 constexpr const char* kWalPrefix = "wal-";
 constexpr const char* kCkptPrefix = "ckpt-";
 
-// --- little-endian primitives ----------------------------------------------
-
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_str(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out += s;
-}
-
-// Bounded little-endian reader; any overrun marks the cursor failed.
-struct Reader {
-  const std::string& buf;
-  std::size_t pos;
-  std::size_t end;
-  bool ok = true;
-
-  bool need(std::size_t n) {
-    if (!ok || end - pos < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  std::uint16_t u16() {
-    if (!need(2)) return 0;
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i)
-      v |= static_cast<std::uint16_t>(static_cast<unsigned char>(buf[pos++])) << (8 * i);
-    return v;
-  }
-  std::uint32_t u32() {
-    if (!need(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(buf[pos++])) << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!need(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[pos++])) << (8 * i);
-    return v;
-  }
-  std::string str() {
-    std::uint32_t n = u32();
-    if (!need(n)) return {};
-    std::string s = buf.substr(pos, n);
-    pos += n;
-    return s;
-  }
-};
-
-// --- cell codec (tag + payload) --------------------------------------------
-
-enum : std::uint8_t { kCellNull = 0, kCellInt = 1, kCellReal = 2, kCellText = 3 };
-
-void put_cell(std::string& out, const Value& v) {
-  if (v.is_null()) {
-    out.push_back(static_cast<char>(kCellNull));
-  } else if (v.is_int()) {
-    out.push_back(static_cast<char>(kCellInt));
-    put_u64(out, static_cast<std::uint64_t>(v.as_int()));
-  } else if (v.is_real()) {
-    out.push_back(static_cast<char>(kCellReal));
-    double d = v.as_real();
-    std::uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    put_u64(out, bits);
-  } else {
-    out.push_back(static_cast<char>(kCellText));
-    put_str(out, v.as_text());
-  }
-}
-
-Value get_cell(Reader& r) {
-  if (!r.need(1)) return Value(nullptr);
-  auto tag = static_cast<std::uint8_t>(r.buf[r.pos++]);
-  switch (tag) {
-    case kCellNull:
-      return Value(nullptr);
-    case kCellInt:
-      return Value(static_cast<std::int64_t>(r.u64()));
-    case kCellReal: {
-      std::uint64_t bits = r.u64();
-      double d;
-      std::memcpy(&d, &bits, sizeof(d));
-      return Value(d);
-    }
-    case kCellText:
-      return Value(r.str());
-    default:
-      r.ok = false;
-      return Value(nullptr);
-  }
-}
-
-std::string hex16(Lsn lsn) {
-  static const char* digits = "0123456789abcdef";
-  std::string s(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    s[static_cast<std::size_t>(i)] = digits[lsn & 0xf];
-    lsn >>= 4;
-  }
-  return s;
-}
+using codec::get_cell;
+using codec::hex_u64;
+using codec::put_cell;
+using codec::put_str;
+using codec::put_u16;
+using codec::put_u32;
+using codec::put_u64;
+using codec::Reader;
 
 bool parse_hex16(const std::string& s, Lsn* out) {
   if (s.size() != 16) return false;
@@ -190,10 +82,12 @@ bool has_prefix(const std::string& s, const char* prefix) {
 // --- log geometry -----------------------------------------------------------
 
 std::string wal_segment_name(Lsn first_lsn) {
-  return kWalPrefix + hex16(first_lsn);
+  return kWalPrefix + hex_u64(first_lsn);
 }
 
-std::string checkpoint_segment_name(Lsn lsn) { return kCkptPrefix + hex16(lsn); }
+std::string checkpoint_segment_name(Lsn lsn) {
+  return kCkptPrefix + hex_u64(lsn);
+}
 
 std::string wal_segment_header(Lsn first_lsn) {
   std::string header(kWalMagic, sizeof(kWalMagic));

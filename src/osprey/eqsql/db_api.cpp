@@ -4,7 +4,7 @@
 #include <cassert>
 #include <map>
 #include <optional>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "osprey/core/log.h"
 #include "osprey/eqsql/notify.h"
@@ -14,22 +14,12 @@ namespace osprey::eqsql {
 
 namespace {
 
-/// "?,?,?" with n placeholders, for IN (...) lists.
-std::string placeholders(std::size_t n) {
-  std::string out;
-  out.reserve(n * 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i) out += ',';
-    out += '?';
-  }
-  return out;
-}
-
-std::vector<db::Value> id_params(const std::vector<TaskId>& ids) {
-  std::vector<db::Value> params;
-  params.reserve(ids.size());
-  for (TaskId id : ids) params.emplace_back(id);
-  return params;
+/// The ids in ascending order, each once: batch operations visit a task at
+/// most once, however often the caller lists it.
+std::vector<TaskId> sorted_unique(std::vector<TaskId> ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
 }
 
 }  // namespace
@@ -208,53 +198,22 @@ Result<std::vector<TaskId>> EQSQL::submit_tasks_as(
   return ids;
 }
 
-Result<std::vector<TaskHandle>> EQSQL::claim_tasks_locked(
-    WorkType eq_type, int n, const PoolId& worker_pool) {
-  // Pop the n highest-priority entries; ties resolve FIFO by task id.
+Result<std::vector<TaskId>> EQSQL::pick_tasks_locked(WorkType eq_type,
+                                                    int n) {
+  // The n highest-priority entries; ties resolve FIFO by task id.
   auto top = conn_.execute(
       "SELECT eq_task_id FROM eq_output_queue WHERE eq_task_type = ? "
       "ORDER BY eq_priority DESC, eq_task_id ASC LIMIT ?",
       {db::Value(std::int64_t{eq_type}), db::Value(std::int64_t{n})});
   if (!top.ok()) return top.error();
-  if (top.value().rows.empty()) return std::vector<TaskHandle>{};
-
   std::vector<TaskId> ids;
   ids.reserve(top.value().rows.size());
   for (const db::Row& row : top.value().rows) ids.push_back(row[0].as_int());
-  const std::string in = placeholders(ids.size());
-
-  auto del = conn_.execute(
-      "DELETE FROM eq_output_queue WHERE eq_task_id IN (" + in + ")",
-      id_params(ids));
-  if (!del.ok()) return del.error();
-
-  std::vector<db::Value> update_params;
-  update_params.emplace_back(worker_pool);
-  update_params.emplace_back(clock_.now());
-  for (TaskId id : ids) update_params.emplace_back(id);
-  auto upd = conn_.execute(
-      "UPDATE eq_tasks SET eq_status = 'running', worker_pool = ?, "
-      "time_start = ? WHERE eq_task_id IN (" + in + ")",
-      update_params);
-  if (!upd.ok()) return upd.error();
-
-  auto payloads = conn_.execute(
-      "SELECT eq_task_id, json_out FROM eq_tasks WHERE eq_task_id IN (" + in +
-          ") ORDER BY eq_priority DESC, eq_task_id ASC",
-      id_params(ids));
-  if (!payloads.ok()) return payloads.error();
-
-  std::vector<TaskHandle> handles;
-  handles.reserve(payloads.value().rows.size());
-  for (const db::Row& row : payloads.value().rows) {
-    handles.push_back(TaskHandle{row[0].as_int(), eq_type,
-                                 row[1].is_null() ? "" : row[1].as_text()});
-  }
-  return handles;
+  return ids;
 }
 
-Result<std::vector<TaskHandle>> EQSQL::claim_tasks_fair_locked(
-    WorkType eq_type, int n, const PoolId& worker_pool,
+Result<std::vector<TaskId>> EQSQL::pick_tasks_fair_locked(
+    WorkType eq_type, int n,
     std::vector<std::pair<TenantId, std::size_t>>& claimed_by) {
   // Weighted-fair draw (DESIGN.md §5.13): instead of popping the global
   // priority order, group the backlog per tenant (each group stays
@@ -265,7 +224,6 @@ Result<std::vector<TaskHandle>> EQSQL::claim_tasks_fair_locked(
       "ORDER BY eq_priority DESC, eq_task_id ASC",
       {db::Value(std::int64_t{eq_type})});
   if (!queued.ok()) return queued.error();
-  if (queued.value().rows.empty()) return std::vector<TaskHandle>{};
 
   std::map<TenantId, std::vector<TaskId>> backlog;
   for (const db::Row& row : queued.value().rows) {
@@ -291,39 +249,37 @@ Result<std::vector<TaskHandle>> EQSQL::claim_tasks_fair_locked(
     }
   }
   claimed_by.assign(counts.begin(), counts.end());
+  return picked;
+}
 
-  const std::string in = placeholders(picked.size());
-  auto del = conn_.execute(
-      "DELETE FROM eq_output_queue WHERE eq_task_id IN (" + in + ")",
-      id_params(picked));
-  if (!del.ok()) return del.error();
-
-  std::vector<db::Value> update_params;
-  update_params.emplace_back(worker_pool);
-  update_params.emplace_back(clock_.now());
-  for (TaskId id : picked) update_params.emplace_back(id);
-  auto upd = conn_.execute(
-      "UPDATE eq_tasks SET eq_status = 'running', worker_pool = ?, "
-      "time_start = ? WHERE eq_task_id IN (" + in + ")",
-      update_params);
-  if (!upd.ok()) return upd.error();
-
-  auto payloads = conn_.execute(
-      "SELECT eq_task_id, json_out FROM eq_tasks WHERE eq_task_id IN (" + in +
-          ")",
-      id_params(picked));
-  if (!payloads.ok()) return payloads.error();
-  std::unordered_map<TaskId, std::string> payload_by_id;
-  for (const db::Row& row : payloads.value().rows) {
-    payload_by_id.emplace(row[0].as_int(),
-                          row[1].is_null() ? "" : row[1].as_text());
-  }
-  // Hand tasks out in scheduler pick order, not re-sorted by priority —
-  // the interleave *is* the fairness.
+Result<std::vector<TaskHandle>> EQSQL::take_tasks_locked(
+    WorkType eq_type, const std::vector<TaskId>& picked,
+    const PoolId& worker_pool) {
+  // Hand tasks out in pick order: priority order for the plain claim, the
+  // scheduler's interleave for the fair one (the interleave *is* the
+  // fairness).
+  const TimePoint now = clock_.now();
   std::vector<TaskHandle> handles;
   handles.reserve(picked.size());
   for (TaskId id : picked) {
-    handles.push_back(TaskHandle{id, eq_type, payload_by_id[id]});
+    auto del = conn_.execute("DELETE FROM eq_output_queue WHERE eq_task_id = ?",
+                             {db::Value(id)});
+    if (!del.ok()) return del.error();
+    auto upd = conn_.execute(
+        "UPDATE eq_tasks SET eq_status = 'running', worker_pool = ?, "
+        "time_start = ? WHERE eq_task_id = ?",
+        {db::Value(worker_pool), db::Value(now), db::Value(id)});
+    if (!upd.ok()) return upd.error();
+    auto payload = conn_.execute(
+        "SELECT json_out FROM eq_tasks WHERE eq_task_id = ?", {db::Value(id)});
+    if (!payload.ok()) return payload.error();
+    if (payload.value().rows.empty()) {
+      return Error(ErrorCode::kInternal,
+                   "queued task " + std::to_string(id) + " has no task row");
+    }
+    const db::Value& json = payload.value().rows[0][0];
+    handles.push_back(
+        TaskHandle{id, eq_type, json.is_null() ? "" : json.as_text()});
   }
   return handles;
 }
@@ -334,11 +290,13 @@ Result<std::vector<TaskHandle>> EQSQL::try_query_tasks(
   obs::Stopwatch latency;
   std::vector<std::pair<TenantId, std::size_t>> claimed_by;
   db::Transaction txn(db_);
+  Result<std::vector<TaskId>> picked =
+      tenants_ != nullptr ? pick_tasks_fair_locked(eq_type, n, claimed_by)
+                          : pick_tasks_locked(eq_type, n);
+  if (!picked.ok()) return picked.error();
   Result<std::vector<TaskHandle>> handles =
-      tenants_ != nullptr
-          ? claim_tasks_fair_locked(eq_type, n, worker_pool, claimed_by)
-          : claim_tasks_locked(eq_type, n, worker_pool);
-  if (handles.ok()) {
+      take_tasks_locked(eq_type, picked.value(), worker_pool);
+  if (handles.ok() && !handles.value().empty()) {
     Status committed = txn.commit();
     // A claim that cannot be made durable never happened: the rollback put
     // the tasks back in the output queue, so report the failure instead of
@@ -347,7 +305,7 @@ Result<std::vector<TaskHandle>> EQSQL::try_query_tasks(
     if (tenants_ != nullptr) {
       for (const auto& [t, count] : claimed_by) tenants_->on_claimed(t, count);
     }
-    if (obs::enabled() && !handles.value().empty()) {
+    if (obs::enabled()) {
       obs_.claimed.inc(handles.value().size());
       obs_.output_depth.add(-static_cast<double>(handles.value().size()));
       obs::observe_latency(obs_.claim_latency, latency);
@@ -464,40 +422,14 @@ Status EQSQL::report_task(TaskId eq_task_id, WorkType eq_type,
 }
 
 Result<std::string> EQSQL::try_query_result(TaskId eq_task_id) {
-  obs::Stopwatch latency;
-  db::Transaction txn(db_);
-  auto row = conn_.execute(
-      "SELECT eq_status, json_in FROM eq_tasks WHERE eq_task_id = ?",
-      {db::Value(eq_task_id)});
-  if (!row.ok()) return row.error();
-  if (row.value().rows.empty()) {
-    return Error(ErrorCode::kNotFound, "no task " + std::to_string(eq_task_id));
-  }
-  const std::string& status = row.value().rows[0][0].as_text();
-  if (status == "canceled") {
-    txn.commit();
-    return Error(ErrorCode::kCanceled,
-                 "task " + std::to_string(eq_task_id) + " canceled");
-  }
-  if (status != "complete") {
-    txn.commit();
-    return Error(ErrorCode::kNotFound,
-                 "task " + std::to_string(eq_task_id) + " not complete");
-  }
-  auto pop = conn_.execute("DELETE FROM eq_input_queue WHERE eq_task_id = ?",
-                           {db::Value(eq_task_id)});
-  if (!pop.ok()) return pop.error();
-  Status committed = txn.commit();
-  if (!committed.is_ok()) return committed.error();
-  if (obs::enabled()) {
-    obs_.completed.inc();
-    obs_.input_depth.add(-1.0);
-    obs::observe_latency(obs_.result_latency, latency);
-    obs::telemetry().trace.record(
-        {eq_task_id, obs::TaskEventKind::kCompleted, clock_.now(), 0, "", ""});
-  }
-  return row.value().rows[0][1].is_null() ? std::string{}
-                                          : row.value().rows[0][1].as_text();
+  // Complete is a terminal state, so the check and the pop need not share
+  // a transaction. The pop counts the pickup only if this call removed the
+  // entry: a task try_query_completed already popped is not counted twice.
+  Result<std::string> result = peek_result(eq_task_id);
+  if (!result.ok()) return result.error();
+  Status popped = pop_result_entry(eq_task_id);
+  if (!popped.is_ok()) return popped.error();
+  return result;
 }
 
 Result<std::string> EQSQL::peek_result(TaskId eq_task_id) {
@@ -597,28 +529,16 @@ Result<std::vector<TaskId>> EQSQL::try_query_completed(
     const std::vector<TaskId>& ids, int n) {
   if (ids.empty() || n <= 0) return std::vector<TaskId>{};
   db::Transaction txn(db_);
-  // One batch scan of the input queue instead of one query per future —
-  // the §V-B "batch operations on the EMEWS DB" optimization.
-  auto complete = conn_.execute(
-      "SELECT eq_task_id FROM eq_input_queue WHERE eq_task_id IN (" +
-          placeholders(ids.size()) + ") ORDER BY eq_task_id ASC LIMIT ?",
-      [&] {
-        std::vector<db::Value> params = id_params(ids);
-        params.emplace_back(std::int64_t{n});
-        return params;
-      }());
-  if (!complete.ok()) return complete.error();
+  // One transaction for the whole list instead of one per future — the
+  // §V-B "batch operations on the EMEWS DB" optimization. The DELETE's
+  // affected count is the completion test, so each entry pops exactly once.
   std::vector<TaskId> found;
-  found.reserve(complete.value().rows.size());
-  for (const db::Row& row : complete.value().rows) {
-    found.push_back(row[0].as_int());
-  }
-  if (!found.empty()) {
-    auto pop = conn_.execute(
-        "DELETE FROM eq_input_queue WHERE eq_task_id IN (" +
-            placeholders(found.size()) + ")",
-        id_params(found));
+  for (TaskId id : sorted_unique(ids)) {
+    if (found.size() == static_cast<std::size_t>(n)) break;
+    auto pop = conn_.execute("DELETE FROM eq_input_queue WHERE eq_task_id = ?",
+                             {db::Value(id)});
     if (!pop.ok()) return pop.error();
+    if (pop.value().affected > 0) found.push_back(id);
   }
   Status committed = txn.commit();
   if (!committed.is_ok()) return committed.error();
@@ -636,60 +556,58 @@ Result<std::vector<TaskId>> EQSQL::try_query_completed(
 
 Result<std::size_t> EQSQL::cancel_tasks(const std::vector<TaskId>& ids) {
   if (ids.empty()) return std::size_t{0};
-  const std::string in = placeholders(ids.size());
   db::Transaction txn(db_);
-  // With tracing or tenancy on, find which of the ids the cancel will
-  // actually reach (same predicate as the UPDATE below) so each gets its
-  // terminal event and releases its tenant's in-flight slot.
-  std::vector<TaskId> hit;
-  std::vector<std::pair<TenantId, bool>> hit_tenants;  // (tenant, was queued)
-  if (obs::enabled() || tenants_ != nullptr) {
-    auto eligible = conn_.execute(
-        "SELECT eq_task_id, eq_status, tenant FROM eq_tasks WHERE eq_status "
-        "IN ('queued', 'running') AND eq_task_id IN (" + in + ")",
-        id_params(ids));
-    if (!eligible.ok()) return eligible.error();
-    for (const db::Row& row : eligible.value().rows) {
-      hit.push_back(row[0].as_int());
-      hit_tenants.emplace_back(row[2].is_null() ? TenantId{} : row[2].as_text(),
-                               row[1].as_text() == "queued");
-    }
+  const TimePoint now = clock_.now();
+  // Each queued or running task the cancel reaches gets its terminal event
+  // and releases its tenant's in-flight slot.
+  struct Hit {
+    TaskId id;
+    TenantId tenant;
+    bool was_queued;
+  };
+  std::vector<Hit> hits;
+  std::size_t dequeued = 0;
+  for (TaskId id : sorted_unique(ids)) {
+    auto row = conn_.execute(
+        "SELECT eq_status, tenant FROM eq_tasks WHERE eq_task_id = ?",
+        {db::Value(id)});
+    if (!row.ok()) return row.error();
+    if (row.value().rows.empty()) continue;
+    const std::string& status = row.value().rows[0][0].as_text();
+    if (status != "queued" && status != "running") continue;
+    // Queued tasks leave the output queue so no pool ever claims them.
+    auto dequeue = conn_.execute(
+        "DELETE FROM eq_output_queue WHERE eq_task_id = ?", {db::Value(id)});
+    if (!dequeue.ok()) return dequeue.error();
+    dequeued += dequeue.value().affected;
+    auto upd = conn_.execute(
+        "UPDATE eq_tasks SET eq_status = 'canceled', time_stop = ? "
+        "WHERE eq_task_id = ?",
+        {db::Value(now), db::Value(id)});
+    if (!upd.ok()) return upd.error();
+    const db::Value& tenant = row.value().rows[0][1];
+    hits.push_back({id, tenant.is_null() ? TenantId{} : tenant.as_text(),
+                    status == "queued"});
   }
-  // Queued tasks leave the output queue so no pool ever claims them.
-  auto dequeue = conn_.execute(
-      "DELETE FROM eq_output_queue WHERE eq_task_id IN (" + in + ")",
-      id_params(ids));
-  if (!dequeue.ok()) return dequeue.error();
-  auto upd = conn_.execute(
-      "UPDATE eq_tasks SET eq_status = 'canceled', time_stop = ? "
-      "WHERE eq_status IN ('queued', 'running') AND eq_task_id IN (" + in + ")",
-      [&] {
-        std::vector<db::Value> params;
-        params.emplace_back(clock_.now());
-        for (TaskId id : ids) params.emplace_back(id);
-        return params;
-      }());
-  if (!upd.ok()) return upd.error();
   Status committed = txn.commit();
   if (!committed.is_ok()) return committed.error();
   if (tenants_ != nullptr) {
     // A canceled task leaves the system: no cycle latency (it never
     // completed), no runtime cost, but its in-flight slot comes back.
-    for (const auto& [task_tenant, was_queued] : hit_tenants) {
-      tenants_->on_finished(task_tenant, 1, was_queued, /*cycle_seconds=*/-1.0,
-                            /*run_seconds=*/0.0);
+    for (const Hit& hit : hits) {
+      tenants_->on_finished(hit.tenant, 1, hit.was_queued,
+                            /*cycle_seconds=*/-1.0, /*run_seconds=*/0.0);
     }
   }
   if (obs::enabled()) {
-    obs_.canceled.inc(upd.value().affected);
-    obs_.output_depth.add(-static_cast<double>(dequeue.value().affected));
-    const TimePoint now = clock_.now();
-    for (TaskId id : hit) {
+    obs_.canceled.inc(hits.size());
+    obs_.output_depth.add(-static_cast<double>(dequeued));
+    for (const Hit& hit : hits) {
       obs::telemetry().trace.record(
-          {id, obs::TaskEventKind::kCanceled, now, 0, "", ""});
+          {hit.id, obs::TaskEventKind::kCanceled, now, 0, "", ""});
     }
   }
-  return upd.value().affected;
+  return hits.size();
 }
 
 Result<std::size_t> EQSQL::update_priorities(
@@ -700,112 +618,95 @@ Result<std::size_t> EQSQL::update_priorities(
                  "priorities must have size 1 or ids.size()");
   }
   db::Transaction txn(db_);
-  std::size_t repositioned = 0;
-  if (priorities.size() == 1) {
-    // Broadcast: two IN-list updates cover every task.
-    const std::string in = placeholders(ids.size());
-    auto make_params = [&](Priority p) {
-      std::vector<db::Value> params;
-      params.emplace_back(std::int64_t{p});
-      for (TaskId id : ids) params.emplace_back(id);
-      return params;
-    };
+  // A task listed twice takes its last priority and counts once.
+  std::unordered_set<TaskId> repositioned;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const Priority p = priorities[priorities.size() == 1 ? 0 : i];
+    const std::vector<db::Value> params{db::Value(std::int64_t{p}),
+                                        db::Value(ids[i])};
     auto q = conn_.execute(
-        "UPDATE eq_output_queue SET eq_priority = ? WHERE eq_task_id IN (" +
-            in + ")",
-        make_params(priorities[0]));
+        "UPDATE eq_output_queue SET eq_priority = ? WHERE eq_task_id = ?",
+        params);
     if (!q.ok()) return q.error();
     auto t = conn_.execute(
-        "UPDATE eq_tasks SET eq_priority = ? WHERE eq_task_id IN (" + in + ")",
-        make_params(priorities[0]));
+        "UPDATE eq_tasks SET eq_priority = ? WHERE eq_task_id = ?", params);
     if (!t.ok()) return t.error();
-    repositioned = q.value().affected;
-  } else {
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      std::vector<db::Value> params{db::Value(std::int64_t{priorities[i]}),
-                                    db::Value(ids[i])};
-      auto q = conn_.execute(
-          "UPDATE eq_output_queue SET eq_priority = ? WHERE eq_task_id = ?",
-          params);
-      if (!q.ok()) return q.error();
-      auto t = conn_.execute(
-          "UPDATE eq_tasks SET eq_priority = ? WHERE eq_task_id = ?", params);
-      if (!t.ok()) return t.error();
-      repositioned += q.value().affected;
-    }
+    if (q.value().affected > 0) repositioned.insert(ids[i]);
   }
   Status committed = txn.commit();
   if (!committed.is_ok()) return committed.error();
-  return repositioned;
+  return repositioned.size();
 }
 
 Result<std::size_t> EQSQL::requeue_tasks(const std::vector<TaskId>& ids) {
   if (ids.empty()) return std::size_t{0};
   db::Transaction txn(db_);
-  // Only running tasks are eligible; fetch their type/priority/tenant for
-  // the output-queue rows.
-  auto rows = conn_.execute(
-      "SELECT eq_task_id, eq_task_type, eq_priority, tenant FROM eq_tasks "
-      "WHERE eq_status = 'running' AND eq_task_id IN (" +
-          placeholders(ids.size()) + ")",
-      id_params(ids));
-  if (!rows.ok()) return rows.error();
-  std::size_t requeued = 0;
-  for (const db::Row& row : rows.value().rows) {
+  // Only running tasks are eligible; their type/priority/tenant become the
+  // output-queue row.
+  std::vector<db::Row> requeued;
+  for (TaskId id : sorted_unique(ids)) {
+    auto row = conn_.execute(
+        "SELECT eq_task_id, eq_task_type, eq_priority, tenant FROM eq_tasks "
+        "WHERE eq_task_id = ? AND eq_status = 'running'",
+        {db::Value(id)});
+    if (!row.ok()) return row.error();
+    if (row.value().rows.empty()) continue;
+    const db::Row& task = row.value().rows[0];
     auto upd = conn_.execute(
         "UPDATE eq_tasks SET eq_status = 'queued', worker_pool = NULL, "
         "time_start = NULL WHERE eq_task_id = ?",
-        {row[0]});
+        {task[0]});
     if (!upd.ok()) return upd.error();
     auto ins = conn_.execute(
         "INSERT INTO eq_output_queue (eq_task_id, eq_task_type, eq_priority, "
         "tenant) VALUES (?, ?, ?, ?)",
-        {row[0], row[1], row[2], row[3]});
+        task);
     if (!ins.ok()) return ins.error();
-    ++requeued;
+    requeued.push_back(task);
   }
   Status committed = txn.commit();
   if (!committed.is_ok()) return committed.error();
   if (tenants_ != nullptr) {
-    for (const db::Row& row : rows.value().rows) {
+    for (const db::Row& row : requeued) {
       tenants_->on_requeued(row[3].is_null() ? TenantId{} : row[3].as_text(),
                             1);
     }
   }
-  if (obs::enabled() && requeued > 0) {
-    obs_.requeued.inc(requeued);
-    obs_.output_depth.add(static_cast<double>(requeued));
+  if (obs::enabled() && !requeued.empty()) {
+    obs_.requeued.inc(requeued.size());
+    obs_.output_depth.add(static_cast<double>(requeued.size()));
     const TimePoint now = clock_.now();
-    for (const db::Row& row : rows.value().rows) {
+    for (const db::Row& row : requeued) {
       obs::telemetry().trace.record({row[0].as_int(),
                                      obs::TaskEventKind::kRequeued, now,
                                      static_cast<WorkType>(row[1].as_int()),
                                      "", ""});
     }
   }
-  return requeued;
+  return requeued.size();
+}
+
+Result<std::size_t> EQSQL::requeue_running_if(
+    const std::function<bool(const db::Row&)>& selected) {
+  auto rows = conn_.execute(
+      "SELECT eq_task_id, worker_pool, time_start FROM eq_tasks "
+      "WHERE eq_status = 'running'");
+  if (!rows.ok()) return rows.error();
+  std::vector<TaskId> ids;
+  for (const db::Row& row : rows.value().rows) {
+    if (selected(row)) ids.push_back(row[0].as_int());
+  }
+  return requeue_tasks(ids);
 }
 
 Result<std::size_t> EQSQL::requeue_pool_tasks(const PoolId& pool) {
-  auto rows = conn_.execute(
-      "SELECT eq_task_id FROM eq_tasks WHERE eq_status = 'running' "
-      "AND worker_pool = ?",
-      {db::Value(pool)});
-  if (!rows.ok()) return rows.error();
-  std::vector<TaskId> ids;
-  ids.reserve(rows.value().rows.size());
-  for (const db::Row& row : rows.value().rows) ids.push_back(row[0].as_int());
-  return requeue_tasks(ids);
+  return requeue_running_if([&](const db::Row& row) {
+    return !row[1].is_null() && row[1].as_text() == pool;
+  });
 }
 
 Result<std::size_t> EQSQL::requeue_running_tasks() {
-  auto rows = conn_.execute(
-      "SELECT eq_task_id FROM eq_tasks WHERE eq_status = 'running'");
-  if (!rows.ok()) return rows.error();
-  std::vector<TaskId> ids;
-  ids.reserve(rows.value().rows.size());
-  for (const db::Row& row : rows.value().rows) ids.push_back(row[0].as_int());
-  return requeue_tasks(ids);
+  return requeue_running_if([](const db::Row&) { return true; });
 }
 
 Result<std::size_t> EQSQL::requeue_stalled_tasks(Duration lease) {
@@ -813,15 +714,9 @@ Result<std::size_t> EQSQL::requeue_stalled_tasks(Duration lease) {
     return Error(ErrorCode::kInvalidArgument, "lease must be > 0");
   }
   const TimePoint cutoff = clock_.now() - lease;
-  auto rows = conn_.execute(
-      "SELECT eq_task_id FROM eq_tasks WHERE eq_status = 'running' "
-      "AND time_start <= ?",
-      {db::Value(cutoff)});
-  if (!rows.ok()) return rows.error();
-  std::vector<TaskId> ids;
-  ids.reserve(rows.value().rows.size());
-  for (const db::Row& row : rows.value().rows) ids.push_back(row[0].as_int());
-  return requeue_tasks(ids);
+  return requeue_running_if([&](const db::Row& row) {
+    return !row[2].is_null() && row[2].as_real() <= cutoff;
+  });
 }
 
 Result<TaskStatus> EQSQL::task_status(TaskId eq_task_id) {
@@ -837,26 +732,17 @@ Result<TaskStatus> EQSQL::task_status(TaskId eq_task_id) {
 Result<std::vector<TaskStatus>> EQSQL::task_statuses(
     const std::vector<TaskId>& ids) {
   if (ids.empty()) return std::vector<TaskStatus>{};
-  auto r = conn_.execute(
-      "SELECT eq_task_id, eq_status FROM eq_tasks WHERE eq_task_id IN (" +
-          placeholders(ids.size()) + ")",
-      id_params(ids));
-  if (!r.ok()) return r.error();
-  std::unordered_map<TaskId, TaskStatus> by_id;
-  for (const db::Row& row : r.value().rows) {
-    Result<TaskStatus> s = parse_task_status(row[1].as_text());
-    if (!s.ok()) return s.error();
-    by_id.emplace(row[0].as_int(), s.value());
-  }
+  // One transaction, so the statuses are one consistent snapshot.
+  db::Transaction txn(db_);
   std::vector<TaskStatus> out;
   out.reserve(ids.size());
   for (TaskId id : ids) {
-    auto it = by_id.find(id);
-    if (it == by_id.end()) {
-      return Error(ErrorCode::kNotFound, "no task " + std::to_string(id));
-    }
-    out.push_back(it->second);
+    Result<TaskStatus> s = task_status(id);
+    if (!s.ok()) return s.error();
+    out.push_back(s.value());
   }
+  Status committed = txn.commit();
+  if (!committed.is_ok()) return committed.error();
   return out;
 }
 

@@ -186,8 +186,9 @@ class EQSQL {
   Notifier* notifier() const { return notifier_; }
 
   /// Batch completion check (backbone of as_completed / pop_completed):
-  /// of the given ids, return up to `n` that are complete, popping them from
-  /// the input queue. Never blocks; empty result when none are complete.
+  /// of the given ids, return up to `n` that are complete, in ascending id
+  /// order and each once, popping them from the input queue. Never blocks;
+  /// empty result when none are complete.
   Result<std::vector<TaskId>> try_query_completed(const std::vector<TaskId>& ids,
                                                   int n);
 
@@ -202,7 +203,8 @@ class EQSQL {
   /// Batch priority update (§V-B update_priority): updates both the tasks
   /// table and the output queue in one transaction. `priorities` must have
   /// size 1 (broadcast) or ids.size() (element-wise). Tasks no longer queued
-  /// are skipped. Returns the number of rows repositioned.
+  /// are skipped. Returns the number of tasks repositioned; a task listed
+  /// twice takes its last priority and counts once.
   Result<std::size_t> update_priorities(const std::vector<TaskId>& ids,
                                         const std::vector<Priority>& priorities);
 
@@ -233,7 +235,8 @@ class EQSQL {
 
   Result<TaskStatus> task_status(TaskId eq_task_id);
 
-  /// Batch status query in one scan (§V-B batch operations).
+  /// Batch status query in one transaction (§V-B batch operations): one
+  /// status per input id, in input order.
   Result<std::vector<TaskStatus>> task_statuses(const std::vector<TaskId>& ids);
 
   Result<Priority> task_priority(TaskId eq_task_id);
@@ -263,21 +266,39 @@ class EQSQL {
 
   const Clock& clock() const { return clock_; }
 
+  /// Statement texts parsed and cached on this handle's connection. Every
+  /// statement EQSQL issues is fixed text, so this stays bounded however
+  /// many tasks a campaign touches.
+  std::size_t cached_statements() const { return conn_.cached_statements(); }
+
   /// Wait via the injected sleeper (used by the future collection functions
   /// so their polling honors the same waiting strategy as the blocking API).
   void sleep(Duration seconds) const { sleeper_(seconds); }
 
  private:
-  Result<std::vector<TaskHandle>> claim_tasks_locked(WorkType eq_type, int n,
-                                                     const PoolId& worker_pool);
+  /// The plain claim's choice: up to n queued tasks of eq_type in priority
+  /// order, ties FIFO by task id.
+  Result<std::vector<TaskId>> pick_tasks_locked(WorkType eq_type, int n);
 
-  /// Weighted-fair claim: pop up to n queued tasks of eq_type, drawing
-  /// across backlogged tenants by stride scheduling instead of strict
-  /// priority order (within a tenant, priority order is preserved). Fills
+  /// Weighted-fair choice: up to n queued tasks of eq_type, drawn across
+  /// backlogged tenants by stride scheduling instead of strict priority
+  /// order (within a tenant, priority order is preserved). Fills
   /// `claimed_by` with per-tenant claim counts for post-commit accounting.
-  Result<std::vector<TaskHandle>> claim_tasks_fair_locked(
-      WorkType eq_type, int n, const PoolId& worker_pool,
+  Result<std::vector<TaskId>> pick_tasks_fair_locked(
+      WorkType eq_type, int n,
       std::vector<std::pair<TenantId, std::size_t>>& claimed_by);
+
+  /// The tail both claims share: pop the picked tasks from the output
+  /// queue, mark them running and owned by `worker_pool`, and return their
+  /// payloads in pick order.
+  Result<std::vector<TaskHandle>> take_tasks_locked(
+      WorkType eq_type, const std::vector<TaskId>& picked,
+      const PoolId& worker_pool);
+
+  /// The selector the requeue_* entry points share: requeue every running
+  /// task whose row (eq_task_id, worker_pool, time_start) is `selected`.
+  Result<std::size_t> requeue_running_if(
+      const std::function<bool(const db::Row&)>& selected);
 
   /// The local half of a peeker-confirmed pickup: pop the input-queue entry
   /// for a task whose payload the probe already returned. One write, no

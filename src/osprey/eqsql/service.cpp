@@ -120,30 +120,19 @@ Result<ServiceStats> EmewsService::stats() {
   if (!running_) {
     return Error(ErrorCode::kUnavailable, "EMEWS service not running");
   }
-  db::sql::Connection conn(db_);
+  // One read transaction (EQSQL::stats), so the counts are one snapshot.
+  EQSQL eq(db_, clock_);
+  Result<QueueStats> queue = eq.stats();
+  if (!queue.ok()) return queue.error();
+  const QueueStats& q = queue.value();
   ServiceStats stats;
-  struct CountQuery {
-    const char* sql;
-    std::int64_t* slot;
-  };
-  const CountQuery queries[] = {
-      {"SELECT COUNT(*) FROM eq_tasks", &stats.tasks_total},
-      {"SELECT COUNT(*) FROM eq_tasks WHERE eq_status = 'queued'",
-       &stats.tasks_queued},
-      {"SELECT COUNT(*) FROM eq_tasks WHERE eq_status = 'running'",
-       &stats.tasks_running},
-      {"SELECT COUNT(*) FROM eq_tasks WHERE eq_status = 'complete'",
-       &stats.tasks_complete},
-      {"SELECT COUNT(*) FROM eq_tasks WHERE eq_status = 'canceled'",
-       &stats.tasks_canceled},
-      {"SELECT COUNT(*) FROM eq_output_queue", &stats.output_queue_depth},
-      {"SELECT COUNT(*) FROM eq_input_queue", &stats.input_queue_depth},
-  };
-  for (const CountQuery& q : queries) {
-    auto r = conn.execute(q.sql);
-    if (!r.ok()) return r.error();
-    *q.slot = r.value().rows[0][0].as_int();
-  }
+  stats.tasks_total = q.queued + q.running + q.complete + q.canceled;
+  stats.tasks_queued = q.queued;
+  stats.tasks_running = q.running;
+  stats.tasks_complete = q.complete;
+  stats.tasks_canceled = q.canceled;
+  stats.output_queue_depth = q.output_queue;
+  stats.input_queue_depth = q.input_queue;
   return stats;
 }
 

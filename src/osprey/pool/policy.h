@@ -84,4 +84,12 @@ struct PoolConfig {
   Duration notify_fallback = 5.0;
 };
 
+/// Poll mode: how long an idle pool waits before its next query, after
+/// `empty_polls` consecutive queries that claimed nothing (0 = none yet).
+/// The poll_interval grows by poll_backoff per empty poll under the shared
+/// RetryPolicy schedule, capped at poll_max_interval; poll_backoff = 1.0
+/// keeps the paper's fixed interval. Both pool drivers wait by this, and
+/// both reset `empty_polls` when a query claims work.
+Duration next_poll_delay(const PoolConfig& config, int empty_polls);
+
 }  // namespace osprey::pool

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "osprey/core/log.h"
-#include "osprey/core/retry.h"
 
 namespace osprey::pool {
 
@@ -197,17 +196,8 @@ void SimWorkerPool::schedule_poll() {
     return;
   }
   if (poll_event_ != 0) return;
-  // Consecutive empty polls back off under the shared RetryPolicy schedule
-  // (poll_backoff = 1.0 keeps the paper's fixed poll_interval).
-  Duration delay = config_.poll_interval;
-  if (config_.poll_backoff > 1.0) {
-    RetryPolicy policy;
-    policy.initial_backoff = config_.poll_interval;
-    policy.multiplier = config_.poll_backoff;
-    policy.max_backoff = config_.poll_max_interval;
-    delay = policy.backoff(empty_polls_ + 1);
-  }
-  ++empty_polls_;
+  // Consecutive empty polls back off (see next_poll_delay).
+  const Duration delay = next_poll_delay(config_, ++empty_polls_);
   poll_event_ = sim_.schedule_in(delay, [this] {
     poll_event_ = 0;
     maybe_idle_shutdown();

@@ -69,6 +69,8 @@ void ThreadedWorkerPool::coordinator_loop() {
   // add nothing to the queue) no longer cost a DB round-trip at idle.
   bool queue_known_empty = false;
   std::uint64_t empty_version = 0;
+  // Poll mode: consecutive queries that claimed nothing (see next_poll_delay).
+  int empty_polls = 0;
   while (true) {
     int to_request = 0;
     {
@@ -102,6 +104,7 @@ void ThreadedWorkerPool::coordinator_loop() {
         ++queries_issued_;
         if (handles.ok() && !handles.value().empty()) {
           queue_known_empty = false;
+          empty_polls = 0;
           obs::observe_latency(feed_.claim_latency(), claim_latency);
           const TimePoint claimed_at =
               obs::enabled() ? api_.clock().now() : 0.0;
@@ -114,6 +117,7 @@ void ThreadedWorkerPool::coordinator_loop() {
           continue;
         }
       }
+      ++empty_polls;
       if (!handles.ok()) {
         OSPREY_LOG(kError, "pool") << config_.name << " query failed: "
                                    << handles.error().to_string();
@@ -123,7 +127,8 @@ void ThreadedWorkerPool::coordinator_loop() {
       }
     }
     // Nothing to fetch (or nothing available): wait for a completion, a
-    // commit notification, or the poll/fallback interval, then re-evaluate.
+    // commit notification, or the poll delay / fallback interval, then
+    // re-evaluate.
     std::unique_lock<std::mutex> lock(mutex_);
     if (stopping_) break;
     if (config_.idle_shutdown > 0 && owned_locked() == 0 &&
@@ -155,7 +160,8 @@ void ThreadedWorkerPool::coordinator_loop() {
         control_cv_.wait(lock);  // no fallback: trust wakeups entirely
       }
     } else {
-      control_cv_.wait_for(lock, seconds(config_.poll_interval));
+      control_cv_.wait_for(lock,
+                           seconds(next_poll_delay(config_, empty_polls)));
     }
   }
 

@@ -1,8 +1,8 @@
 #include "osprey/storage/sstable.h"
 
 #include <algorithm>
-#include <cstring>
 
+#include "osprey/db/codec.h"
 #include "osprey/db/wal.h"  // crc32 — runs share the WAL's frame checksum
 
 namespace osprey::storage {
@@ -11,117 +11,15 @@ namespace {
 
 constexpr char kRunMagic[8] = {'O', 'S', 'P', 'S', 'S', 'T', 'v', '1'};
 
-// Little-endian primitives, mirroring the WAL codec (whose helpers are
-// file-static). Cell tags are byte-identical to wal.cpp's so a row round-
-// trips through either plane with the same image.
-enum : std::uint8_t { kCellNull = 0, kCellInt = 1, kCellReal = 2, kCellText = 3 };
-
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-struct Reader {
-  const std::string& buf;
-  std::size_t pos;
-  std::size_t end;
-  bool ok = true;
-
-  bool need(std::size_t n) {
-    if (!ok || end - pos < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  std::uint16_t u16() {
-    if (!need(2)) return 0;
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i)
-      v |= static_cast<std::uint16_t>(static_cast<unsigned char>(buf[pos++])) << (8 * i);
-    return v;
-  }
-  std::uint32_t u32() {
-    if (!need(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(buf[pos++])) << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!need(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[pos++])) << (8 * i);
-    return v;
-  }
-  std::string str() {
-    std::uint32_t n = u32();
-    if (!need(n)) return {};
-    std::string s = buf.substr(pos, n);
-    pos += n;
-    return s;
-  }
-};
-
-void put_cell(std::string& out, const db::Value& v) {
-  if (v.is_null()) {
-    out.push_back(static_cast<char>(kCellNull));
-  } else if (v.is_int()) {
-    out.push_back(static_cast<char>(kCellInt));
-    put_u64(out, static_cast<std::uint64_t>(v.as_int()));
-  } else if (v.is_real()) {
-    out.push_back(static_cast<char>(kCellReal));
-    double d = v.as_real();
-    std::uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    put_u64(out, bits);
-  } else {
-    out.push_back(static_cast<char>(kCellText));
-    put_u32(out, static_cast<std::uint32_t>(v.as_text().size()));
-    out += v.as_text();
-  }
-}
-
-db::Value get_cell(Reader& r) {
-  if (!r.need(1)) return db::Value(nullptr);
-  auto tag = static_cast<std::uint8_t>(r.buf[r.pos++]);
-  switch (tag) {
-    case kCellNull:
-      return db::Value(nullptr);
-    case kCellInt:
-      return db::Value(static_cast<std::int64_t>(r.u64()));
-    case kCellReal: {
-      std::uint64_t bits = r.u64();
-      double d;
-      std::memcpy(&d, &bits, sizeof(d));
-      return db::Value(d);
-    }
-    case kCellText:
-      return db::Value(r.str());
-    default:
-      r.ok = false;
-      return db::Value(nullptr);
-  }
-}
-
-std::string hex_u64(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string s(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    s[static_cast<std::size_t>(i)] = digits[v & 0xf];
-    v >>= 4;
-  }
-  return s;
-}
+// Runs encode with the WAL's codec, so a row image is byte-identical in a
+// log record and in a run.
+using db::codec::get_cell;
+using db::codec::hex_u64;
+using db::codec::put_cell;
+using db::codec::put_u16;
+using db::codec::put_u32;
+using db::codec::put_u64;
+using db::codec::Reader;
 
 // Hash family for the bloom filter: double hashing over a splitmix64-style
 // mix, so k probes cost two multiplies.

@@ -265,6 +265,12 @@ TEST_F(EqsqlTest, UpdatePrioritiesBroadcastAndValidation) {
   EXPECT_EQ(api_->task_priority(b).value(), 9);
   EXPECT_EQ(api_->update_priorities({a, b}, {1, 2, 3}).code(),
             ErrorCode::kInvalidArgument);
+  // A task listed twice counts once, element-wise or broadcast, and its
+  // last priority wins.
+  EXPECT_EQ(api_->update_priorities({a, a}, {1, 2}).value(), 1u);
+  EXPECT_EQ(api_->task_priority(a).value(), 2);
+  EXPECT_EQ(api_->update_priorities({a, a}, {9}).value(), 1u);
+  EXPECT_EQ(api_->task_priority(a).value(), 9);
 }
 
 TEST_F(EqsqlTest, UpdatePrioritySkipsClaimedTasks) {
@@ -284,6 +290,12 @@ TEST_F(EqsqlTest, BatchStatusesPreserveOrder) {
   EXPECT_EQ(statuses.value()[0], TaskStatus::kQueued);
   EXPECT_EQ(statuses.value()[1], TaskStatus::kRunning);
   EXPECT_EQ(api_->task_statuses({a, 999}).code(), ErrorCode::kNotFound);
+  // Duplicates are answered per input.
+  auto repeated = api_->task_statuses({b, a, a});
+  ASSERT_TRUE(repeated.ok());
+  EXPECT_EQ(repeated.value(),
+            (std::vector<TaskStatus>{TaskStatus::kQueued, TaskStatus::kRunning,
+                                     TaskStatus::kRunning}));
 }
 
 TEST_F(EqsqlTest, TryQueryCompletedBatch) {
@@ -299,6 +311,32 @@ TEST_F(EqsqlTest, TryQueryCompletedBatch) {
   EXPECT_EQ(done.value().size(), 2u);
   // Popped from the input queue: a second call returns nothing.
   EXPECT_TRUE(api_->try_query_completed(ids, 10).value().empty());
+  // Unsorted ids with duplicates: each completed task once, ascending.
+  ASSERT_TRUE(api_->report_task(handles[0].eq_task_id, kSimWork, "r0").is_ok());
+  ASSERT_TRUE(api_->report_task(handles[4].eq_task_id, kSimWork, "r4").is_ok());
+  EXPECT_EQ(api_->try_query_completed({ids[4], ids[0], ids[0]}, 5).value(),
+            (std::vector<TaskId>{ids[0], ids[4]}));
+}
+
+TEST_F(EqsqlTest, StatementCacheDoesNotGrowWithCampaignSize) {
+  // pop_completed over a shrinking future list, as an ME loop does. Every
+  // statement EQSQL issues is fixed text, so a 300-task campaign leaves no
+  // more parsed statements on the connection than a 10-task one.
+  auto campaign = [&](int n) {
+    std::vector<std::string> payloads(static_cast<std::size_t>(n), "x");
+    auto futures = submit_task_futures(*api_, "e", kSimWork, payloads).value();
+    const auto handles = api_->try_query_tasks(kSimWork, n).value();
+    for (const TaskHandle& h : handles) {
+      EXPECT_TRUE(api_->report_task(h.eq_task_id, kSimWork, "r").is_ok());
+    }
+    while (!futures.empty()) {
+      if (!pop_completed(futures, 1.0).ok()) break;
+    }
+    EXPECT_TRUE(futures.empty());
+    return api_->cached_statements();
+  };
+  const std::size_t after_small = campaign(10);
+  EXPECT_EQ(campaign(300), after_small);
 }
 
 TEST_F(EqsqlTest, ExperimentLinksTasks) {
@@ -438,6 +476,10 @@ TEST_F(EqsqlTest, RequeuePreservesPriority) {
   auto next = api_->try_query_tasks(kSimWork, 1, "p2").value();
   ASSERT_EQ(next.size(), 1u);
   EXPECT_EQ(next[0].eq_task_id, id);
+  // Listed twice, requeued once: one output-queue row, no key conflict.
+  EXPECT_EQ(api_->requeue_tasks({id, id}).value(), 1u);
+  EXPECT_EQ(api_->queued_count(kSimWork).value(), 2);
+  EXPECT_EQ(api_->task_status(id).value(), TaskStatus::kQueued);
 }
 
 TEST_F(EqsqlTest, RequeueIgnoresNonRunningTasks) {
@@ -517,6 +559,8 @@ TEST(EmewsServiceTest, LifecycleAndStats) {
   EXPECT_EQ(stats.tasks_queued, 1);
   EXPECT_EQ(stats.output_queue_depth, 1);
   EXPECT_EQ(stats.input_queue_depth, 1);
+  EXPECT_EQ(stats.tasks_total, stats.tasks_queued + stats.tasks_running +
+                                   stats.tasks_complete + stats.tasks_canceled);
 
   ASSERT_TRUE(service.stop().is_ok());
   EXPECT_EQ(service.stop().code(), ErrorCode::kConflict);

@@ -333,6 +333,28 @@ TEST_F(ThreadedPoolTest, StopIsGracefulAndIdempotent) {
   EXPECT_EQ(static_cast<std::uint64_t>(stats_queued) + done, 50u);
 }
 
+TEST_F(ThreadedPoolTest, PollModeBacksOffWhileIdle) {
+  // No notifier: the pool polls. Idle delays grow 10, 20, 40, 40, ... ms,
+  // so 0.3 s holds about 9 queries, not the ~30 of a fixed 10 ms interval.
+  PoolConfig c = config(1);
+  c.poll_interval = 0.01;
+  c.poll_backoff = 2.0;
+  c.poll_max_interval = 0.04;
+  c.idle_shutdown = 0.0;
+  ThreadedWorkerPool pool(*api_, c, me::ackley_threaded_runner(0.001, 0.0, 5));
+  ASSERT_TRUE(pool.start().is_ok());
+  RealClock::sleep_for(0.3);
+  EXPECT_LE(pool.queries_issued(), 12u);
+  // Backed off, not stalled: work submitted now is still claimed and run.
+  ASSERT_TRUE(
+      api_->submit_task("e", kWork, osprey::json::array_of({1.0}).dump()).ok());
+  for (int i = 0; i < 500 && pool.tasks_completed() == 0; ++i) {
+    RealClock::sleep_for(0.01);
+  }
+  EXPECT_EQ(pool.tasks_completed(), 1u);
+  pool.stop();
+}
+
 TEST_F(ThreadedPoolTest, DoubleStartRejected) {
   ThreadedWorkerPool pool(*api_, config(1),
                           me::ackley_threaded_runner(0.001, 0.0, 5));

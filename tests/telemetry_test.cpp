@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "osprey/eqsql/db_api.h"
+#include "osprey/eqsql/future.h"
 #include "osprey/eqsql/schema.h"
 #include "osprey/json/json.h"
 #include "osprey/me/sampler.h"
@@ -172,6 +173,36 @@ TEST(TelemetryE2ETest, CampaignIsFullyObservableFromTelemetryAlone) {
             std::string::npos);
   EXPECT_NE(prom.find("# TYPE osprey_pool_queue_wait_seconds histogram"),
             std::string::npos);
+}
+
+TEST(TelemetryE2ETest, PopCompletedCountsEachPickupOnce) {
+  // pop_completed pops the input-queue entry in the batch check, then
+  // resolves the future's payload: the pickup is one event, not two.
+  obs::ScopedTelemetry scoped;
+  db::Database database;
+  {
+    db::sql::Connection conn(database);
+    ASSERT_TRUE(eqsql::create_schema(conn).is_ok());
+  }
+  ManualClock clock;
+  eqsql::EQSQL api(database, clock);
+  auto futures =
+      eqsql::submit_task_futures(api, "e", kWork, {"a", "b", "c"}).value();
+  const auto handles = api.try_query_tasks(kWork, 3).value();
+  for (const eqsql::TaskHandle& h : handles) {
+    ASSERT_TRUE(api.report_task(h.eq_task_id, kWork, "r").is_ok());
+  }
+  while (!futures.empty()) {
+    ASSERT_TRUE(eqsql::pop_completed(futures, 1.0).ok());
+  }
+  obs::MetricsSnapshot snap = obs::telemetry().metrics.snapshot();
+  EXPECT_EQ(snap.counter_value("osprey_eqsql_results_picked_up_total"), 3u);
+  EXPECT_DOUBLE_EQ(snap.gauge_value("osprey_eqsql_input_queue_depth"), 0.0);
+  std::size_t completed_events = 0;
+  for (const obs::TaskEvent& e : obs::telemetry().trace.events()) {
+    if (e.kind == obs::TaskEventKind::kCompleted) ++completed_events;
+  }
+  EXPECT_EQ(completed_events, 3u);
 }
 
 TEST(TelemetryE2ETest, DisabledTelemetryRecordsNothing) {

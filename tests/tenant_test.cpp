@@ -375,6 +375,13 @@ TEST_F(TenantEqsqlTest, CancelFreesQuotaForQueuedAndRunningTasks) {
   EXPECT_EQ(stats.queued + stats.running, 0);
   EXPECT_EQ(stats.completed, 2u);
   ASSERT_TRUE(api.submit_tasks("e", kWork, {"x", "y"}).ok());
+  // A task listed twice is canceled once and frees exactly one slot.
+  const TaskId twice = api.experiment_tasks("e").value().back();
+  ASSERT_EQ(api.cancel_tasks({twice, twice}).value(), 1u);
+  EXPECT_EQ(service_.tenants()->stats_for("a").value().completed, 3u);
+  EXPECT_TRUE(api.submit_task("e", kWork, "w").ok());
+  EXPECT_EQ(api.submit_task("e", kWork, "v").code(),
+            ErrorCode::kResourceExhausted);
 }
 
 TEST_F(TenantEqsqlTest, RequeueMovesRunningBackToQueuedAccounting) {
