@@ -48,7 +48,10 @@ struct Error {
 template <typename T>
 class Result {
  public:
-  Result(T value) : data_(std::move(value)) {}             // NOLINT(google-explicit-constructor)
+  // Two overloads rather than one by-value parameter: the value goes straight
+  // into the variant, with no intermediate temporary to move from.
+  Result(const T& value) : data_(value) {}                 // NOLINT(google-explicit-constructor)
+  Result(T&& value) : data_(std::move(value)) {}           // NOLINT(google-explicit-constructor)
   Result(Error error) : data_(std::move(error)) {}         // NOLINT(google-explicit-constructor)
   Result(ErrorCode code, std::string msg) : data_(Error{code, std::move(msg)}) {}
 

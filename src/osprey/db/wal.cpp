@@ -10,6 +10,7 @@
 #include <cassert>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 
 #include "osprey/db/codec.h"
 #include "osprey/db/dump.h"
@@ -60,17 +61,32 @@ using codec::put_u32;
 using codec::put_u64;
 using codec::Reader;
 
-bool parse_hex16(const std::string& s, Lsn* out) {
-  if (s.size() != 16) return false;
+/// The LSN a segment name encodes after `prefix` (a wal segment's first LSN,
+/// a checkpoint's covered LSN); nullopt for a name of any other kind.
+std::optional<Lsn> segment_lsn(const std::string& name, const char* prefix) {
+  const std::size_t start = std::strlen(prefix);
+  if (name.size() != start + 16 || name.compare(0, start, prefix) != 0) {
+    return std::nullopt;
+  }
   Lsn v = 0;
-  for (char c : s) {
+  for (std::size_t i = start; i < name.size(); ++i) {
+    const char c = name[i];
     v <<= 4;
     if (c >= '0' && c <= '9') v |= static_cast<Lsn>(c - '0');
     else if (c >= 'a' && c <= 'f') v |= static_cast<Lsn>(c - 'a' + 10);
-    else return false;
+    else return std::nullopt;
   }
-  *out = v;
-  return true;
+  return v;
+}
+
+/// The newest checkpoint LSN named on the device (0 when none): nothing at
+/// or below it is still owed to a reader of the wal segments.
+Lsn newest_checkpoint_lsn(const std::vector<std::string>& names) {
+  Lsn newest = 0;
+  for (const std::string& name : names) {
+    newest = std::max(newest, segment_lsn(name, kCkptPrefix).value_or(0));
+  }
+  return newest;
 }
 
 bool has_prefix(const std::string& s, const char* prefix) {
@@ -583,9 +599,7 @@ CheckpointData load_latest_checkpoint(LogDevice& device,
                                       const std::vector<std::string>& names) {
   CheckpointData best;
   for (auto it = names.rbegin(); it != names.rend(); ++it) {
-    if (!has_prefix(*it, kCkptPrefix)) continue;
-    Lsn lsn = 0;
-    if (!parse_hex16(it->substr(std::strlen(kCkptPrefix)), &lsn)) continue;
+    if (!segment_lsn(*it, kCkptPrefix)) continue;
     Result<std::string> data = device.read(*it);
     if (!data.ok()) continue;
     const std::string& buf = data.value();
@@ -674,6 +688,128 @@ bool is_ddl(RecordType t) {
          t == RecordType::kCreateIndex;
 }
 
+// The committed log ends at the last complete committed unit before the
+// first of: a wal segment whose header is torn (a crash during rotation), a
+// torn or corrupt frame, a commit marker whose count disagrees with its
+// transaction, or a transaction still open at a segment end (a transaction
+// never spans segments: rotation happens between append batches).
+//
+// The end falls at the start of the incomplete transaction, not just at the
+// torn frame. A transaction's DML frames and its commit marker are appended
+// as one batch, so a tear inside the commit marker leaves complete-but-
+// uncommitted DML frames ahead of it. If those stayed on the device, a
+// resumed writer would append after them, the orphans would join the next
+// committed transaction in a later walk, its marker count would disagree,
+// and an acknowledged transaction would be thrown away as torn. For the same
+// reason dangling DML LSNs are never committed LSNs: they are cut and a
+// resumed writer reissues them.
+
+/// Where walk_log() found the committed log to end, and what lies past it.
+struct LogEnd {
+  std::string tail;               // last segment with a valid header, or ""
+  std::uint64_t tail_bytes = 0;   // its committed bytes: a writer resumes here
+  bool cut_tail = false;          // `tail` holds bytes past the committed end
+  std::vector<std::string> dead;  // whole segments past the committed end
+  std::uint64_t bytes_past_end = 0;   // of the segments read
+  std::size_t records_discarded = 0;  // DML of the transaction left open
+  std::size_t segments_scanned = 0;
+  Lsn last_lsn = 0;  // highest committed LSN walked (0 when none)
+};
+
+/// What a unit visitor tells the walk: keep going, or stop here (the
+/// cursor's batch is full). A visitor error aborts the walk.
+enum class Walk { kContinue, kStop };
+using UnitVisitor = std::function<Result<Walk>(std::vector<Record>& unit)>;
+
+/// Walk the wal segments among `names` in LSN order, starting at the last
+/// segment whose first LSN is <= `from` (0: every segment), and hand each
+/// committed unit to `visit`: a transaction's DML plus its commit marker, or
+/// one self-committing DDL or epoch record. Reads only; cut_log() repairs.
+Result<LogEnd> walk_log(LogDevice& device,
+                        const std::vector<std::string>& names, Lsn from,
+                        const UnitVisitor& visit) {
+  // A segment's records all precede the next segment's first LSN, so
+  // segments before the last one starting at or before `from` are skipped.
+  std::vector<std::string> segments;
+  for (const std::string& name : names) {
+    std::optional<Lsn> first = segment_lsn(name, kWalPrefix);
+    if (!first) continue;
+    if (*first <= from) segments.clear();
+    segments.push_back(name);
+  }
+
+  LogEnd end;
+  std::vector<Record> unit;
+  for (auto seg = segments.begin(); seg != segments.end(); ++seg) {
+    Result<std::string> data = device.read(*seg);
+    if (!data.ok()) {
+      if (data.error().code == ErrorCode::kNotFound) continue;  // raced rm
+      return data.error();
+    }
+    const std::string& buf = data.value();
+    ++end.segments_scanned;
+    if (buf.size() < kWalHeaderBytes ||
+        std::memcmp(buf.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
+      // A torn header carries no records: the segment goes whole.
+      end.bytes_past_end += buf.size();
+      end.dead.assign(seg, segments.end());
+      return end;
+    }
+    end.tail = *seg;
+    std::size_t offset = kWalHeaderBytes;
+    std::size_t unit_start = offset;
+    while (true) {
+      Record record;
+      std::size_t frame_bytes = 0;
+      const DecodeStatus status =
+          decode_record(buf, offset, &record, &frame_bytes);
+      const bool torn =
+          status == DecodeStatus::kTruncated ||
+          status == DecodeStatus::kCorrupt ||
+          (status == DecodeStatus::kEndOfLog && !unit.empty()) ||
+          (status == DecodeStatus::kOk && record.type == RecordType::kCommit &&
+           record.txn_records != unit.size());
+      if (torn) {
+        const std::size_t keep = unit.empty() ? offset : unit_start;
+        end.tail_bytes = keep;
+        end.cut_tail = true;
+        end.bytes_past_end += buf.size() - keep;
+        end.records_discarded = unit.size();
+        end.dead.assign(seg + 1, segments.end());
+        return end;
+      }
+      if (status == DecodeStatus::kEndOfLog) break;
+      if (unit.empty()) unit_start = offset;
+      offset += frame_bytes;
+      unit.push_back(std::move(record));
+      if (is_dml(unit.back().type)) continue;  // open until its commit marker
+      end.last_lsn = std::max(end.last_lsn, unit.back().lsn);
+      Result<Walk> next = visit(unit);
+      if (!next.ok()) return next.error();
+      unit.clear();
+      if (next.value() == Walk::kStop) return end;
+    }
+    end.tail_bytes = buf.size();
+  }
+  return end;
+}
+
+/// The one torn-tail repair: cut the log at the committed end walk_log()
+/// found, so a writer never appends after garbage or orphaned DML.
+Status cut_log(LogDevice& device, const LogEnd& end) {
+  if (end.cut_tail) {
+    Status truncated = device.truncate(end.tail, end.tail_bytes);
+    if (!truncated.is_ok()) return truncated;
+  }
+  for (const std::string& name : end.dead) {
+    Status removed = device.remove(name);
+    if (!removed.is_ok()) return removed;
+  }
+  return Status::ok();
+}
+
+Result<Walk> visit_nothing(std::vector<Record>&) { return Walk::kContinue; }
+
 }  // namespace
 
 Status apply_record(Database& db, const Record& record) {
@@ -717,117 +853,38 @@ Result<RecoveryInfo> recover(LogDevice& device, Database& db,
     if (!restored.is_ok()) return restored.error();
     info.used_checkpoint = true;
     info.checkpoint_lsn = ckpt.lsn;
-    info.last_lsn = ckpt.lsn;
   }
 
-  // Replay wal segments in LSN order. A transaction's records buffer until
-  // its commit marker; an uncommitted or torn tail is discarded and the
-  // segment physically truncated so the writer can resume cleanly. The
-  // truncation point is the start of the incomplete transaction, not just
-  // the torn frame: a txn's DML frames and its commit marker are appended
-  // as one batch, so a tear inside the commit marker leaves complete-but-
-  // uncommitted DML frames ahead of it. If those stayed on the device, a
-  // resumed writer would append after them and the orphans would sit in the
-  // next recovery's txn buffer when the new commit marker arrives — its
-  // record count would mismatch and a committed transaction would be thrown
-  // away as torn.
-  std::vector<Record> txn;
-  std::size_t txn_start = 0;
-  bool log_ended = false;
-  for (const std::string& name : names.value()) {
-    if (!has_prefix(name, kWalPrefix)) continue;
-    if (log_ended) {
-      // Everything after a torn segment is unreachable in LSN order.
-      device.remove(name);
-      continue;
-    }
-    Result<std::string> data = device.read(name);
-    if (!data.ok()) return data.error();
-    const std::string& buf = data.value();
-    ++info.segments_scanned;
-    if (buf.size() < kWalHeaderBytes ||
-        std::memcmp(buf.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
-      // Header itself torn (crash during rotation): the segment carries no
-      // records; drop it.
-      info.bytes_truncated += buf.size();
-      device.remove(name);
-      log_ended = true;
-      continue;
-    }
-    std::size_t offset = kWalHeaderBytes;
-    while (true) {
-      Record record;
-      std::size_t frame_bytes = 0;
-      DecodeStatus status = decode_record(buf, offset, &record, &frame_bytes);
-      if (status == DecodeStatus::kEndOfLog) {
-        if (!txn.empty()) {
-          // The segment ends on a frame boundary mid-batch: complete DML
-          // frames whose commit marker never reached the medium. Same
-          // orphan hazard as a torn frame — cut them off too.
-          Status truncated =
-              device.truncate(name, static_cast<std::uint64_t>(txn_start));
-          if (!truncated.is_ok()) return truncated.error();
-          info.bytes_truncated += buf.size() - txn_start;
-          info.records_discarded += txn.size();
-          txn.clear();
-          log_ended = true;
-        }
-        break;
-      }
-      if (status != DecodeStatus::kOk) {
-        const std::size_t keep = txn.empty() ? offset : txn_start;
-        Status truncated =
-            device.truncate(name, static_cast<std::uint64_t>(keep));
-        if (!truncated.is_ok()) return truncated.error();
-        info.bytes_truncated += buf.size() - keep;
-        info.records_discarded += txn.size();
-        txn.clear();
-        log_ended = true;
-        break;
-      }
-      // A DML record's LSN only becomes real when its commit marker (whose
-      // LSN is higher) survives; dangling DML is truncated below, so only
-      // non-DML records advance last_lsn.
-      if (!is_dml(record.type) && record.lsn > info.last_lsn) {
-        info.last_lsn = record.lsn;
-      }
-      if (is_dml(record.type)) {
-        if (txn.empty()) txn_start = offset;
-        txn.push_back(std::move(record));
-      } else if (record.type == RecordType::kCommit) {
-        if (record.txn_records != txn.size()) {
-          // Marker disagrees with its transaction: treat the whole batch,
-          // orphaned DML frames included, as torn.
-          const std::size_t keep = txn.empty() ? offset : txn_start;
-          Status truncated =
-              device.truncate(name, static_cast<std::uint64_t>(keep));
-          if (!truncated.is_ok()) return truncated.error();
-          info.bytes_truncated += buf.size() - keep;
-          info.records_discarded += txn.size();
-          txn.clear();
-          log_ended = true;
-          break;
-        }
+  // Replay every committed unit past the checkpoint, then cut the log at
+  // its committed end so a writer can resume cleanly.
+  Result<LogEnd> end = walk_log(
+      device, names.value(), 0,
+      [&](std::vector<Record>& unit) -> Result<Walk> {
         bool replayed = false;
-        for (const Record& r : txn) {
+        for (const Record& r : unit) {
           if (r.lsn <= info.checkpoint_lsn) continue;  // already in snapshot
-          Status applied = apply_dml(db, r);
+          Status applied = Status::ok();
+          if (is_dml(r.type)) {
+            applied = apply_dml(db, r);
+            ++info.records_replayed;
+            replayed = true;
+          } else if (is_ddl(r.type)) {
+            applied = apply_ddl(db, r, &info.ddl_replayed);
+          } else if (r.type == RecordType::kEpoch) {
+            info.last_epoch = std::max(info.last_epoch, r.epoch);
+          }
           if (!applied.is_ok()) return applied.error();
-          ++info.records_replayed;
-          replayed = true;
         }
         if (replayed) ++info.transactions_replayed;
-        txn.clear();
-      } else if (is_ddl(record.type)) {
-        if (record.lsn > info.checkpoint_lsn) {
-          Status applied = apply_ddl(db, record, &info.ddl_replayed);
-          if (!applied.is_ok()) return applied.error();
-        }
-      }
-      offset += frame_bytes;
-    }
-  }
-  info.records_discarded += txn.size();
+        return Walk::kContinue;
+      });
+  if (!end.ok()) return end.error();
+  Status cut = cut_log(device, end.value());
+  if (!cut.is_ok()) return cut.error();
+  info.last_lsn = std::max(ckpt.lsn, end.value().last_lsn);
+  info.segments_scanned = end.value().segments_scanned;
+  info.records_discarded = end.value().records_discarded;
+  info.bytes_truncated = end.value().bytes_past_end;
   if (obs::enabled()) {
     obs::observe_latency(wal_obs().recovery_duration, recovery_latency);
     wal_obs().records_replayed.inc(info.records_replayed);
@@ -845,92 +902,16 @@ Status WalManager::open() {
   std::lock_guard<std::mutex> guard(mutex_);
   Result<std::vector<std::string>> names = device_.list();
   if (!names.ok()) return names.error();
+  Result<LogEnd> walked = walk_log(device_, names.value(), 0, visit_nothing);
+  if (!walked.ok()) return walked.error();
+  const LogEnd& end = walked.value();
+  Status cut = cut_log(device_, end);
+  if (!cut.is_ok()) return cut;
 
-  Lsn max_lsn = 0;
-  for (const std::string& name : names.value()) {
-    if (!has_prefix(name, kCkptPrefix)) continue;
-    Lsn lsn = 0;
-    if (parse_hex16(name.substr(std::strlen(kCkptPrefix)), &lsn)) {
-      max_lsn = std::max(max_lsn, lsn);
-    }
-  }
-
-  // Scan wal segments for the true end of log; repair torn tails so the
-  // writer never appends after garbage.
-  std::string tail_segment;
-  std::uint64_t tail_size = 0;
-  bool log_ended = false;
-  for (const std::string& name : names.value()) {
-    if (!has_prefix(name, kWalPrefix)) continue;
-    if (log_ended) {
-      Status removed = device_.remove(name);
-      if (!removed.is_ok()) return removed;
-      continue;
-    }
-    Result<std::string> data = device_.read(name);
-    if (!data.ok()) return data.error();
-    const std::string& buf = data.value();
-    if (buf.size() < kWalHeaderBytes ||
-        std::memcmp(buf.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
-      Status removed = device_.remove(name);
-      if (!removed.is_ok()) return removed;
-      log_ended = true;
-      continue;
-    }
-    // Mirror recover()'s repair exactly: a tear inside a txn's append batch
-    // must cut back to the batch start, or the writer would resume after
-    // complete-but-uncommitted DML frames and the next recovery would
-    // mistake the following committed transaction for a torn one. Dangling
-    // DML LSNs are excluded from max_lsn for the same reason — they are
-    // truncated away and safe to reissue.
-    std::size_t offset = kWalHeaderBytes;
-    std::uint32_t pending_dml = 0;
-    std::size_t txn_start = 0;
-    while (true) {
-      Record record;
-      std::size_t frame_bytes = 0;
-      DecodeStatus status = decode_record(buf, offset, &record, &frame_bytes);
-      if (status == DecodeStatus::kEndOfLog) {
-        if (pending_dml > 0) {
-          Status truncated =
-              device_.truncate(name, static_cast<std::uint64_t>(txn_start));
-          if (!truncated.is_ok()) return truncated;
-          offset = txn_start;
-          log_ended = true;
-        }
-        break;
-      }
-      bool torn = status != DecodeStatus::kOk;
-      if (!torn && record.type == RecordType::kCommit &&
-          record.txn_records != pending_dml) {
-        torn = true;  // marker disagrees with its batch
-      }
-      if (torn) {
-        const std::size_t keep = pending_dml > 0 ? txn_start : offset;
-        Status truncated =
-            device_.truncate(name, static_cast<std::uint64_t>(keep));
-        if (!truncated.is_ok()) return truncated;
-        offset = keep;
-        log_ended = true;
-        break;
-      }
-      if (is_dml(record.type)) {
-        if (pending_dml == 0) txn_start = offset;
-        ++pending_dml;
-      } else {
-        if (record.type == RecordType::kCommit) pending_dml = 0;
-        max_lsn = std::max(max_lsn, record.lsn);
-      }
-      offset += frame_bytes;
-    }
-    tail_segment = name;
-    tail_size = offset;
-  }
-
-  next_lsn_ = max_lsn + 1;
-  if (!tail_segment.empty() && tail_size < options_.segment_bytes) {
-    segment_ = tail_segment;
-    segment_size_ = tail_size;
+  next_lsn_ = std::max(newest_checkpoint_lsn(names.value()), end.last_lsn) + 1;
+  if (!end.tail.empty() && end.tail_bytes < options_.segment_bytes) {
+    segment_ = end.tail;
+    segment_size_ = end.tail_bytes;
   } else {
     segment_.clear();
     segment_size_ = 0;
@@ -1200,93 +1181,28 @@ Result<CursorBatch> WalCursor::next(std::size_t max_records) {
 
   // If a checkpoint has swallowed the records we still owe the reader, the
   // tail is gone: tailing cannot continue, only a fresh bootstrap can.
-  Lsn ckpt_lsn = 0;
-  for (const std::string& name : names.value()) {
-    if (!has_prefix(name, kCkptPrefix)) continue;
-    Lsn lsn = 0;
-    if (parse_hex16(name.substr(std::strlen(kCkptPrefix)), &lsn)) {
-      ckpt_lsn = std::max(ckpt_lsn, lsn);
-    }
-  }
-  if (ckpt_lsn >= position_) {
+  if (newest_checkpoint_lsn(names.value()) >= position_) {
     return Error(ErrorCode::kNotFound,
                  "wal truncated by checkpoint past cursor; re-bootstrap");
   }
 
-  // Skip segments that end before the cursor: a segment's records all
-  // precede the next segment's first LSN, so only the last segment whose
-  // first LSN <= position_ (and everything after it) can contain our tail.
-  std::vector<std::string> segments;
-  for (const std::string& name : names.value()) {
-    if (!has_prefix(name, kWalPrefix)) continue;
-    Lsn first = 0;
-    if (!parse_hex16(name.substr(std::strlen(kWalPrefix)), &first)) continue;
-    if (first <= position_) segments.clear();
-    segments.push_back(name);
-  }
-
+  // Read-only: an un-synced or torn tail simply reads as the end of the log.
   CursorBatch batch;
-  std::vector<Record> unit;  // open transaction's DML, pre-commit
-  auto emit_unit = [&](std::vector<Record>&& records) {
-    if (records.back().lsn < position_) return;  // unit already delivered
-    for (Record& r : records) {
-      batch.frames += encode_record(r);
-      if (batch.first_lsn == 0) batch.first_lsn = r.lsn;
-      batch.last_lsn = r.lsn;
-      batch.records.push_back(std::move(r));
-    }
-    ++batch.transactions;
-  };
-
-  for (const std::string& name : segments) {
-    Result<std::string> data = device_.read(name);
-    if (!data.ok()) {
-      if (data.error().code == ErrorCode::kNotFound) continue;  // raced rm
-      return data.error();
-    }
-    const std::string& buf = data.value();
-    if (buf.size() < kWalHeaderBytes ||
-        std::memcmp(buf.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
-      break;  // header still being written: end of committed log
-    }
-    std::size_t offset = kWalHeaderBytes;
-    bool log_ended = false;
-    while (true) {
-      Record record;
-      std::size_t frame_bytes = 0;
-      DecodeStatus status = decode_record(buf, offset, &record, &frame_bytes);
-      if (status == DecodeStatus::kEndOfLog) break;
-      if (status != DecodeStatus::kOk) {
-        log_ended = true;  // torn / in-flight tail: nothing past it is real
-        break;
-      }
-      offset += frame_bytes;
-      if (is_dml(record.type)) {
-        unit.push_back(std::move(record));
-        continue;
-      }
-      if (record.type == RecordType::kCommit) {
-        if (record.txn_records != unit.size()) {
-          log_ended = true;  // marker disagrees with its txn: treat as torn
-          break;
+  Result<LogEnd> end = walk_log(
+      device_, names.value(), position_,
+      [&](std::vector<Record>& unit) -> Result<Walk> {
+        if (unit.back().lsn < position_) return Walk::kContinue;  // delivered
+        for (Record& r : unit) {
+          batch.frames += encode_record(r);
+          if (batch.first_lsn == 0) batch.first_lsn = r.lsn;
+          batch.last_lsn = r.lsn;
+          batch.records.push_back(std::move(r));
         }
-        unit.push_back(std::move(record));
-        emit_unit(std::move(unit));
-        unit.clear();
-      } else {
-        // DDL and epoch records are self-committing single-record units.
-        std::vector<Record> single;
-        single.push_back(std::move(record));
-        emit_unit(std::move(single));
-      }
-      if (batch.records.size() >= max_records) {
-        position_ = batch.last_lsn + 1;
-        return batch;
-      }
-    }
-    unit.clear();  // an open txn never spans segments (rotation is pre-txn)
-    if (log_ended) break;
-  }
+        ++batch.transactions;
+        return batch.records.size() >= max_records ? Walk::kStop
+                                                   : Walk::kContinue;
+      });
+  if (!end.ok()) return end.error();
   if (!batch.empty()) position_ = batch.last_lsn + 1;
   return batch;
 }

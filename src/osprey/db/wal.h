@@ -264,11 +264,13 @@ struct RecoveryInfo {
   std::size_t segments_scanned = 0;
   std::size_t records_discarded = 0;   // DML of transactions without a commit
   std::uint64_t bytes_truncated = 0;   // torn tail repaired on the device
+  std::uint64_t last_epoch = 0;  // highest kEpoch record past the checkpoint
 };
 
 /// Rebuild `db` (which must be empty) from the device: restore the latest
-/// valid checkpoint, then replay every committed transaction past it,
-/// truncating the log at the first torn or corrupt record. Safe to run on an
+/// valid checkpoint, then replay every committed unit past it, and cut the
+/// log at its committed end — the last complete transaction before the
+/// first torn frame — exactly as WalManager::open() would. Safe to run on an
 /// empty device (yields an empty database). Attach a WalManager afterwards
 /// to resume logging.
 Result<RecoveryInfo> recover(LogDevice& device, Database& db);
@@ -294,8 +296,9 @@ class WalManager : public CommitObserver {
  public:
   explicit WalManager(LogDevice& device, WalOptions options = {});
 
-  /// Scan the device: find the last LSN, repair any torn tail, and position
-  /// the writer after existing records. Call once before attach().
+  /// Scan the device: find the committed end of the log, cut it there as
+  /// recover() does, and position the writer after the last committed LSN.
+  /// Call once before attach().
   Status open();
 
   /// Install this WAL as `db`'s commit observer. The manager must outlive
@@ -382,11 +385,13 @@ struct CursorBatch {
 /// Read-only cursor over a WAL device: yields committed records from a given
 /// LSN onward without replaying them into a database. This is the shipper's
 /// view of the log — recover() remains the only consumer that materializes
-/// state. The cursor re-lists segments on every call, so it tolerates
-/// rotation and concurrent appends; an un-synced or torn tail simply reads
-/// as end-of-log. If a checkpoint has truncated the log past the cursor's
-/// position, next() returns kNotFound: the reader must re-bootstrap from the
-/// checkpoint instead of tailing.
+/// state. It reads the log with the same committed-unit walk as recover()
+/// and WalManager::open(), so all three agree on where the committed log
+/// ends, but it never repairs: an un-synced or torn tail simply reads as
+/// end-of-log. The cursor re-lists segments on every call, so it tolerates
+/// rotation and concurrent appends. If a checkpoint has truncated the log
+/// past the cursor's position, next() returns kNotFound: the reader must
+/// re-bootstrap from the checkpoint instead of tailing.
 class WalCursor {
  public:
   /// Start reading at `from` (deliver records with LSN >= from).

@@ -1,5 +1,6 @@
 #include "osprey/repl/node.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "osprey/core/log.h"
@@ -201,34 +202,21 @@ Result<wal::RecoveryInfo> ReplicaNode::recover_from_disk() {
   // (Outstanding EQSQL handles onto the old database are invalidated.)
   db_ = std::make_unique<db::Database>();
   bootstrapped_ = false;
-  Result<wal::RecoveryInfo> info = wal::recover(*device_, *db_);
+  // The baseline epoch is checkpoint metadata (bootstrap stores it there);
+  // epoch bumps shipped since are kEpoch records in the replayed tail.
+  Epoch ckpt_epoch = 0;
+  Result<wal::RecoveryInfo> info = wal::recover(
+      *device_, *db_, [&](db::Database& db, const json::Value& snapshot) {
+        ckpt_epoch = static_cast<Epoch>(snapshot["repl_epoch"].get_int(0));
+        return db::restore_database(db, snapshot);
+      });
   if (!info.ok()) return info;
   applied_lsn_ = info.value().last_lsn;
+  epoch_ = std::max(ckpt_epoch, info.value().last_epoch);
   role_ = Role::kFollower;
   bootstrapped_ = true;
   segment_.clear();
   segment_size_ = 0;
-  // The baseline epoch is checkpoint metadata (bootstrap stores it there);
-  // recover() ignores kEpoch markers (they carry no database state), so
-  // re-read the committed tail for any epoch bumps shipped since.
-  epoch_ = 0;
-  {
-    wal::Lsn ckpt_lsn = 0;
-    Result<json::Value> ckpt = wal::read_latest_checkpoint(*device_, &ckpt_lsn);
-    if (ckpt.ok()) {
-      epoch_ = static_cast<Epoch>(ckpt.value()["repl_epoch"].get_int(0));
-    }
-  }
-  wal::WalCursor cursor(*device_, info.value().checkpoint_lsn + 1);
-  while (true) {
-    Result<wal::CursorBatch> batch = cursor.next(256);
-    if (!batch.ok() || batch.value().empty()) break;
-    for (const wal::Record& r : batch.value().records) {
-      if (r.type == wal::RecordType::kEpoch && r.epoch > epoch_) {
-        epoch_ = r.epoch;
-      }
-    }
-  }
   return info;
 }
 

@@ -92,8 +92,9 @@ class ReplicaNode {
   /// Rebuild a fresh or crashed node from its own device — the follower
   /// restart path, proving the follower log is self-sufficient. Replaces the
   /// in-memory database (outstanding EQSQL handles are invalidated), restores
-  /// the checkpoint + committed tail, and re-learns the epoch from the
-  /// replicated kEpoch records.
+  /// the checkpoint + committed tail in one read of the log, and re-learns
+  /// the epoch: the checkpoint's bootstrap epoch, raised by any replicated
+  /// kEpoch record in the tail (RecoveryInfo::last_epoch).
   Result<db::wal::RecoveryInfo> recover_from_disk();
 
   /// Power loss: volatile device cache is lost, node stops serving.

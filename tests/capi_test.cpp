@@ -9,6 +9,9 @@
 #include <string>
 #include <thread>
 
+// Some cases call the deprecated v1 entry points on purpose (v1 behaviour
+// through the v2 internals), so the v1 deprecation warnings are opted out of.
+#define OSPREY_ALLOW_DEPRECATED
 #include "osprey/capi/osprey_c.h"
 
 namespace {

@@ -262,8 +262,8 @@ TEST_F(TableTest, IndexStaysCorrectThroughUpdateAndDelete) {
 }
 
 TEST_F(TableTest, InListUsesPrimaryKeyIndex) {
-  // The EQSQL hot path updates `WHERE eq_task_id IN (?,...)`; that must be
-  // an index probe, not a full scan.
+  // A `WHERE eq_task_id IN (?,...)` list on the primary key (a form any SQL
+  // caller may use) must be an index probe, not a full scan.
   std::uint64_t scans_before = table_.full_scans();
   ScanOptions options;
   options.where = in_list(col("eq_task_id"),

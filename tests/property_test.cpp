@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "osprey/eqsql/schema.h"
 #include "osprey/json/json.h"
@@ -25,6 +27,16 @@ struct PoolCase {
   double sigma;
   std::uint64_t seed;
 };
+
+std::string case_name(const PoolCase& c) {
+  return "w" + std::to_string(c.workers) + "_b" + std::to_string(c.batch) +
+         "_t" + std::to_string(c.threshold) + "_s" + std::to_string(c.seed);
+}
+
+// Print a case by name: gtest's default byte dump of the struct includes its
+// uninitialised padding, which would make the listed test names differ on
+// every run.
+void PrintTo(const PoolCase& c, std::ostream* os) { *os << case_name(c); }
 
 class PoolPropertyTest : public ::testing::TestWithParam<PoolCase> {};
 
@@ -84,10 +96,7 @@ INSTANTIATE_TEST_SUITE_P(
         PoolCase{33, 50, 1, 0.5, 7}, PoolCase{33, 33, 15, 0.5, 8},
         PoolCase{8, 16, 16, 2.0, 9}, PoolCase{64, 64, 1, 0.2, 10}),
     [](const ::testing::TestParamInfo<PoolCase>& info) {
-      const PoolCase& c = info.param;
-      return "w" + std::to_string(c.workers) + "_b" + std::to_string(c.batch) +
-             "_t" + std::to_string(c.threshold) + "_s" +
-             std::to_string(c.seed);
+      return case_name(info.param);
     });
 
 TEST(PoolDeterminismTest, IdenticalSeedsGiveIdenticalTraces) {
@@ -312,6 +321,14 @@ struct GprCase {
   std::uint64_t seed;
 };
 
+std::string case_name(const GprCase& c) {
+  return std::string(c.kernel == me::KernelType::kRBF ? "rbf" : "matern") +
+         "_n" + std::to_string(c.n) + "_d" + std::to_string(c.dim);
+}
+
+// Print a case by name, for the same reason as PoolCase.
+void PrintTo(const GprCase& c, std::ostream* os) { *os << case_name(c); }
+
 class GprPropertyTest : public ::testing::TestWithParam<GprCase> {};
 
 TEST_P(GprPropertyTest, PosteriorIsWellFormedOnRandomData) {
@@ -353,9 +370,7 @@ INSTANTIATE_TEST_SUITE_P(
                       GprCase{me::KernelType::kMatern52, 100, 4, 4},
                       GprCase{me::KernelType::kRBF, 60, 8, 5}),
     [](const ::testing::TestParamInfo<GprCase>& info) {
-      const GprCase& c = info.param;
-      return std::string(c.kernel == me::KernelType::kRBF ? "rbf" : "matern") +
-             "_n" + std::to_string(c.n) + "_d" + std::to_string(c.dim);
+      return case_name(info.param);
     });
 
 // --- SQL vs programmatic equivalence -------------------------------------------------

@@ -397,6 +397,63 @@ TEST(ReplicationGroupTest, FollowerKilledMidCatchUpRestartsFromOwnLog) {
   EXPECT_EQ(dump_of(follower), dump_of(leader));
 }
 
+TEST(ReplicationGroupTest, FollowerRestartRelearnsAShippedEpochFromItsLogTail) {
+  Cluster c;
+  ReplicaNode* leader = c.group.create_leader("lead", "bebop").value();
+  ReplicaNode* f1 = c.group.add_follower("f1", "theta").value();
+  ReplicaNode* f2 = c.group.add_follower("f2", "cloud").value();
+  run_tasks(leader, 4, 2);
+  ASSERT_TRUE(c.group.pump().ok());
+
+  // f1 partitions away, so f2 is the one promoted when the leader dies.
+  c.faults.add_window(fault_point::partition("bebop", "theta"), 0.0, 5.0);
+  run_tasks(leader, 4, 4);
+  ASSERT_TRUE(c.group.pump().ok());
+  ASSERT_TRUE(c.group.kill("lead").is_ok());
+  Result<std::string> promoted = c.group.promote();
+  ASSERT_TRUE(promoted.ok());
+  ASSERT_EQ(promoted.value(), "f2");
+  ASSERT_EQ(c.group.epoch(), 2u);
+
+  // After the heal, f1 catches up from f2 and learns epoch 2 only from the
+  // shipped kEpoch record: its bootstrap checkpoint still says epoch 1.
+  c.clock.advance(10.0);
+  for (int i = 0; i < 64 && f1->applied_lsn() < f2->applied_lsn(); ++i) {
+    ASSERT_TRUE(c.group.pump().ok());
+  }
+  ASSERT_EQ(f1->applied_lsn(), f2->applied_lsn());
+  ASSERT_EQ(f1->epoch(), 2u);
+  const wal::Lsn before_kill = f1->applied_lsn();
+
+  // Restart from the own log: the epoch comes back from the log tail.
+  ASSERT_TRUE(c.group.kill("f1").is_ok());
+  Result<wal::RecoveryInfo> info = f1->recover_from_disk();
+  ASSERT_TRUE(info.ok());
+  EXPECT_TRUE(info.value().used_checkpoint);
+  EXPECT_EQ(info.value().last_epoch, 2u);
+  EXPECT_EQ(f1->epoch(), 2u);
+  EXPECT_EQ(f1->applied_lsn(), before_kill);
+
+  // A straggler from the deposed epoch-1 leader is still fenced...
+  ShipBatch straggler;
+  straggler.epoch = 1;
+  straggler.first_lsn = f1->applied_lsn() + 1;
+  straggler.last_lsn = straggler.first_lsn;
+  straggler.records.push_back(wal::Record{});
+  Result<wal::Lsn> fenced = f1->apply_batch(straggler);
+  ASSERT_FALSE(fenced.ok());
+  EXPECT_EQ(fenced.code(), ErrorCode::kConflict);
+
+  // ...and shipping from the new leader resumes where the log left off.
+  run_tasks(f2, 3, 2);
+  for (int i = 0; i < 64 && f1->applied_lsn() < f2->applied_lsn(); ++i) {
+    ASSERT_TRUE(c.group.pump().ok());
+  }
+  EXPECT_EQ(f1->applied_lsn(), f2->applied_lsn());
+  EXPECT_EQ(f1->epoch(), 2u);
+  EXPECT_EQ(dump_of(f1), dump_of(f2));
+}
+
 // --- failover ----------------------------------------------------------------
 
 TEST(ReplicationGroupTest, LeaderDeathPromotesMostCaughtUpUnderNewEpoch) {

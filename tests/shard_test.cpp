@@ -17,6 +17,9 @@
 #include <thread>
 #include <vector>
 
+// The C API shard cases call the deprecated v1 entry points on purpose, so
+// the v1 deprecation warnings are opted out of.
+#define OSPREY_ALLOW_DEPRECATED
 #include "osprey/capi/osprey_c.h"
 #include "osprey/core/clock.h"
 #include "osprey/core/fault.h"

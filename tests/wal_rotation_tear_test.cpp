@@ -123,11 +123,41 @@ TEST(WalRotationTearTest, EveryByteCutOfTheFreshSegmentRecoversACommittedPrefix)
   for (std::size_t cut = 0; cut <= full.size(); ++cut) {
     auto disk = std::make_shared<SimDisk>(*master);
     disk->segments[newest] = full.substr(0, cut);
+    const SimDisk unrepaired = *disk;
     SimLogDevice device(disk);
     Database db;
     Result<RecoveryInfo> info = recover(device, db);
     ASSERT_TRUE(info.ok()) << "cut=" << cut << ": " << info.error().message;
     std::string dump = dump_str(db);
+    const Lsn last_lsn = info.value().last_lsn;
+
+    // All three log readers agree on where the committed log ends. A
+    // read-only cursor over the unrepaired log delivers exactly up to
+    // recover()'s last LSN and changes nothing on the disk...
+    {
+      auto copy = std::make_shared<SimDisk>(unrepaired);
+      SimLogDevice copy_device(copy);
+      WalCursor cursor(copy_device, 1);
+      Lsn delivered = 0;
+      while (true) {
+        Result<CursorBatch> batch = cursor.next(64);
+        ASSERT_TRUE(batch.ok()) << "cut=" << cut;
+        if (batch.value().empty()) break;
+        delivered = batch.value().last_lsn;
+      }
+      EXPECT_EQ(delivered, last_lsn) << "cut=" << cut;
+      EXPECT_TRUE(copy->segments == unrepaired.segments) << "cut=" << cut;
+    }
+    // ...and a writer opened on the unrepaired log makes the same repair
+    // recover() made, byte for byte, and resumes right after last_lsn.
+    {
+      auto copy = std::make_shared<SimDisk>(unrepaired);
+      SimLogDevice copy_device(copy);
+      WalManager opened(copy_device);
+      ASSERT_TRUE(opened.open().is_ok()) << "cut=" << cut;
+      EXPECT_TRUE(copy->segments == disk->segments) << "cut=" << cut;
+      EXPECT_EQ(opened.next_lsn(), last_lsn + 1) << "cut=" << cut;
+    }
 
     // The recovered state is exactly some committed prefix...
     std::size_t matched = snaps.size();
