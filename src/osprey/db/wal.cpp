@@ -89,10 +89,6 @@ Lsn newest_checkpoint_lsn(const std::vector<std::string>& names) {
   return newest;
 }
 
-bool has_prefix(const std::string& s, const char* prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
 }  // namespace
 
 // --- log geometry -----------------------------------------------------------
@@ -318,14 +314,23 @@ Status FileLogDevice::sync(const std::string& segment) {
   return Status::ok();
 }
 
+namespace {
+
+// Only a missing file is kNotFound; any other open failure (EMFILE, EACCES,
+// EIO, ...) leaves the segment on disk and must not read as removed.
+Error open_error(const std::string& path) {
+  const int err = errno;
+  return Error(err == ENOENT ? ErrorCode::kNotFound : ErrorCode::kUnavailable,
+               "open '" + path + "': " + std::strerror(err));
+}
+
+}  // namespace
+
 Result<std::string> FileLogDevice::read(const std::string& segment) {
   std::lock_guard<std::mutex> guard(mutex_);
   std::string path = dir_ + "/" + segment;
   int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Error(ErrorCode::kNotFound,
-                 "open '" + path + "': " + std::strerror(errno));
-  }
+  if (fd < 0) return open_error(path);
   std::string out;
   char buf[1 << 16];
   for (;;) {
@@ -350,10 +355,7 @@ Result<std::string> FileLogDevice::read_range(const std::string& segment,
   std::lock_guard<std::mutex> guard(mutex_);
   std::string path = dir_ + "/" + segment;
   int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Error(ErrorCode::kNotFound,
-                 "open '" + path + "': " + std::strerror(errno));
-  }
+  if (fd < 0) return open_error(path);
   std::string out;
   out.resize(static_cast<std::size_t>(length));
   std::size_t got = 0;
@@ -721,13 +723,21 @@ struct LogEnd {
 enum class Walk { kContinue, kStop };
 using UnitVisitor = std::function<Result<Walk>(std::vector<Record>& unit)>;
 
+/// What the walk does with a listed wal segment that reads as kNotFound.
+/// A caller that repairs fails: cutting or resuming the writer past a hole
+/// would drop committed units and reissue their LSNs. The read-only cursor
+/// ends its batch there instead (a racing checkpoint removed the segment;
+/// its next call re-lists and re-checks the checkpoint), so it never
+/// delivers a unit past the hole either.
+enum class Vanished { kFail, kEndOfLog };
+
 /// Walk the wal segments among `names` in LSN order, starting at the last
 /// segment whose first LSN is <= `from` (0: every segment), and hand each
 /// committed unit to `visit`: a transaction's DML plus its commit marker, or
 /// one self-committing DDL or epoch record. Reads only; cut_log() repairs.
 Result<LogEnd> walk_log(LogDevice& device,
                         const std::vector<std::string>& names, Lsn from,
-                        const UnitVisitor& visit) {
+                        Vanished vanished, const UnitVisitor& visit) {
   // A segment's records all precede the next segment's first LSN, so
   // segments before the last one starting at or before `from` are skipped.
   std::vector<std::string> segments;
@@ -743,7 +753,10 @@ Result<LogEnd> walk_log(LogDevice& device,
   for (auto seg = segments.begin(); seg != segments.end(); ++seg) {
     Result<std::string> data = device.read(*seg);
     if (!data.ok()) {
-      if (data.error().code == ErrorCode::kNotFound) continue;  // raced rm
+      if (data.error().code == ErrorCode::kNotFound &&
+          vanished == Vanished::kEndOfLog) {
+        return end;
+      }
       return data.error();
     }
     const std::string& buf = data.value();
@@ -858,7 +871,7 @@ Result<RecoveryInfo> recover(LogDevice& device, Database& db,
   // Replay every committed unit past the checkpoint, then cut the log at
   // its committed end so a writer can resume cleanly.
   Result<LogEnd> end = walk_log(
-      device, names.value(), 0,
+      device, names.value(), 0, Vanished::kFail,
       [&](std::vector<Record>& unit) -> Result<Walk> {
         bool replayed = false;
         for (const Record& r : unit) {
@@ -902,7 +915,8 @@ Status WalManager::open() {
   std::lock_guard<std::mutex> guard(mutex_);
   Result<std::vector<std::string>> names = device_.list();
   if (!names.ok()) return names.error();
-  Result<LogEnd> walked = walk_log(device_, names.value(), 0, visit_nothing);
+  Result<LogEnd> walked =
+      walk_log(device_, names.value(), 0, Vanished::kFail, visit_nothing);
   if (!walked.ok()) return walked.error();
   const LogEnd& end = walked.value();
   Status cut = cut_log(device_, end);
@@ -1129,7 +1143,8 @@ Result<Lsn> WalManager::checkpoint(Database& db) {
   if (names.ok()) {
     for (const std::string& segment : names.value()) {
       if (segment == name) continue;
-      if (has_prefix(segment, kWalPrefix) || has_prefix(segment, kCkptPrefix)) {
+      if (segment_lsn(segment, kWalPrefix) ||
+          segment_lsn(segment, kCkptPrefix)) {
         device_.remove(segment);
       }
     }
@@ -1189,7 +1204,7 @@ Result<CursorBatch> WalCursor::next(std::size_t max_records) {
   // Read-only: an un-synced or torn tail simply reads as the end of the log.
   CursorBatch batch;
   Result<LogEnd> end = walk_log(
-      device_, names.value(), position_,
+      device_, names.value(), position_, Vanished::kEndOfLog,
       [&](std::vector<Record>& unit) -> Result<Walk> {
         if (unit.back().lsn < position_) return Walk::kContinue;  // delivered
         for (Record& r : unit) {

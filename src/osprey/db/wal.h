@@ -271,8 +271,9 @@ struct RecoveryInfo {
 /// valid checkpoint, then replay every committed unit past it, and cut the
 /// log at its committed end — the last complete transaction before the
 /// first torn frame — exactly as WalManager::open() would. Safe to run on an
-/// empty device (yields an empty database). Attach a WalManager afterwards
-/// to resume logging.
+/// empty device (yields an empty database). A listed wal segment that cannot
+/// be read is an error and nothing is repaired. Attach a WalManager
+/// afterwards to resume logging.
 Result<RecoveryInfo> recover(LogDevice& device, Database& db);
 
 /// Materializes a checkpoint snapshot document into an empty database. The
@@ -297,8 +298,9 @@ class WalManager : public CommitObserver {
   explicit WalManager(LogDevice& device, WalOptions options = {});
 
   /// Scan the device: find the committed end of the log, cut it there as
-  /// recover() does, and position the writer after the last committed LSN.
-  /// Call once before attach().
+  /// recover() does (failing, with nothing repaired, on an unreadable
+  /// segment), and position the writer after the last committed LSN. Call
+  /// once before attach().
   Status open();
 
   /// Install this WAL as `db`'s commit observer. The manager must outlive
@@ -388,8 +390,9 @@ struct CursorBatch {
 /// state. It reads the log with the same committed-unit walk as recover()
 /// and WalManager::open(), so all three agree on where the committed log
 /// ends, but it never repairs: an un-synced or torn tail simply reads as
-/// end-of-log. The cursor re-lists segments on every call, so it tolerates
-/// rotation and concurrent appends. If a checkpoint has truncated the log
+/// end-of-log, and so does a segment removed since the call listed it. The
+/// cursor re-lists segments on every call, so it tolerates rotation and
+/// concurrent appends. If a checkpoint has truncated the log
 /// past the cursor's position, next() returns kNotFound: the reader must
 /// re-bootstrap from the checkpoint instead of tailing.
 class WalCursor {

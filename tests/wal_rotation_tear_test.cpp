@@ -14,6 +14,7 @@
 // crash-recovery must agree.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -242,6 +243,124 @@ TEST(WalRotationTearTest, PowerLossTearOnAFreshSegmentViaTheFaultPoint) {
     EXPECT_TRUE(is_prefix) << "magnitude=" << percent
                            << ": not a committed prefix of the campaign";
   }
+}
+
+// --- unreadable segments ---------------------------------------------------
+//
+// A listed segment the walk cannot read is never a torn tail to cut: the
+// repairing readers fail with the disk untouched, and the read-only cursor
+// stops before it.
+
+std::vector<std::string> wal_segments(const SimDisk& disk) {
+  std::vector<std::string> wal;
+  for (const auto& [name, bytes] : disk.segments) {
+    (void)bytes;
+    if (name.rfind("wal-", 0) == 0) wal.push_back(name);
+  }
+  return wal;
+}
+
+// A device on which one listed segment cannot be read: `code` kNotFound is
+// what a segment removed since list() reads as, kUnavailable an I/O error.
+class UnreadableSegmentDevice : public SimLogDevice {
+ public:
+  UnreadableSegmentDevice(std::shared_ptr<SimDisk> disk, std::string segment,
+                          ErrorCode code)
+      : SimLogDevice(std::move(disk)),
+        segment_(std::move(segment)),
+        code_(code) {}
+
+  Result<std::string> read(const std::string& segment) override {
+    if (segment == segment_) {
+      return Error(code_, "cannot read '" + segment + "'");
+    }
+    return SimLogDevice::read(segment);
+  }
+
+ private:
+  std::string segment_;
+  ErrorCode code_;
+};
+
+TEST(WalRotationTearTest, AnUnreadableSegmentFailsRecoveryAndOpenUnrepaired) {
+  // Skipping an unreadable middle segment would replay later segments past
+  // the hole (losing acknowledged transactions); skipping the newest would
+  // resume the writer in the previous segment and reissue the LSNs the
+  // unreadable one holds. Both repairing readers must fail instead and
+  // leave every byte on the disk as it was.
+  std::shared_ptr<SimDisk> master = logged_campaign(24);
+  const std::vector<std::string> wal = wal_segments(*master);
+  ASSERT_GT(wal.size(), 3u);
+  for (const std::string& unreadable : {wal[wal.size() / 2], wal.back()}) {
+    for (ErrorCode code : {ErrorCode::kNotFound, ErrorCode::kUnavailable}) {
+      SCOPED_TRACE(unreadable + " code " +
+                   std::to_string(static_cast<int>(code)));
+      {
+        auto disk = std::make_shared<SimDisk>(*master);
+        UnreadableSegmentDevice device(disk, unreadable, code);
+        Database db;
+        EXPECT_FALSE(recover(device, db).ok());
+        EXPECT_TRUE(disk->segments == master->segments);
+      }
+      {
+        auto disk = std::make_shared<SimDisk>(*master);
+        UnreadableSegmentDevice device(disk, unreadable, code);
+        WalManager manager(device);
+        EXPECT_FALSE(manager.open().is_ok());
+        EXPECT_TRUE(disk->segments == master->segments);
+      }
+    }
+  }
+}
+
+TEST(WalRotationTearTest, TheCursorNeverDeliversPastAVanishedSegment) {
+  // A segment removed under a read-only cursor ends its batch: the units
+  // before the hole are delivered, none after it, and nothing is repaired.
+  // An I/O error on the segment is returned instead.
+  std::shared_ptr<SimDisk> master = logged_campaign(24);
+  const std::vector<std::string> wal = wal_segments(*master);
+  ASSERT_GT(wal.size(), 3u);
+  const std::string hole = wal[wal.size() / 2];
+  const auto first_lsn = [](const std::string& name) {
+    return static_cast<Lsn>(std::stoull(name.substr(4), nullptr, 16));
+  };
+
+  auto disk = std::make_shared<SimDisk>(*master);
+  UnreadableSegmentDevice device(disk, hole, ErrorCode::kNotFound);
+  WalCursor cursor(device, 1);
+  Lsn delivered = 0;
+  while (true) {
+    Result<CursorBatch> batch = cursor.next(4);
+    ASSERT_TRUE(batch.ok()) << batch.error().message;
+    if (batch.value().empty()) break;
+    EXPECT_EQ(batch.value().first_lsn, delivered + 1);
+    delivered = batch.value().last_lsn;
+  }
+  EXPECT_EQ(delivered + 1, first_lsn(hole));
+  EXPECT_TRUE(disk->segments == master->segments);
+
+  UnreadableSegmentDevice failing(disk, hole, ErrorCode::kUnavailable);
+  WalCursor failing_cursor(failing, first_lsn(hole));
+  EXPECT_FALSE(failing_cursor.next(4).ok());
+}
+
+TEST(FileLogDeviceTest, OnlyAMissingFileReadsAsNotFound) {
+  // Any other open failure leaves the segment on disk, so it must not read
+  // as a segment a checkpoint removed.
+  const std::string dir = "/tmp/osprey_wal_open_errors";
+  ASSERT_EQ(std::system(("rm -rf " + dir).c_str()), 0);
+  {
+    FileLogDevice device(dir);
+    const std::string missing = wal_segment_name(1);
+    const std::string too_long(300, 'w');  // ENAMETOOLONG
+    EXPECT_EQ(device.read(missing).error().code, ErrorCode::kNotFound);
+    EXPECT_EQ(device.read_range(missing, 0, 8).error().code,
+              ErrorCode::kNotFound);
+    EXPECT_EQ(device.read(too_long).error().code, ErrorCode::kUnavailable);
+    EXPECT_EQ(device.read_range(too_long, 0, 8).error().code,
+              ErrorCode::kUnavailable);
+  }
+  std::system(("rm -rf " + dir).c_str());
 }
 
 }  // namespace
