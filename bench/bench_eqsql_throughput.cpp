@@ -4,6 +4,8 @@
 // transaction cost, which is the quantitative basis of Fig 3's cache effect.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "osprey/core/clock.h"
 #include "osprey/eqsql/db_api.h"
 #include "osprey/eqsql/schema.h"
@@ -66,6 +68,66 @@ void BM_ClaimBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_ClaimBatch)->Arg(1)->Arg(8)->Arg(33)->Arg(50);
+
+void BM_ClaimAtBacklog(benchmark::State& state) {
+  // Claim-1 latency against the queued backlog (EXPERIMENTS.md, "Claim
+  // path"): every task at the API's default priority 0, so the pop's cost
+  // shows how it scales with the queue. A replacement submit (untimed)
+  // keeps the backlog constant.
+  Fixture fx;
+  const auto backlog = static_cast<std::size_t>(state.range(0));
+  for (std::size_t done = 0; done < backlog; done += 1000) {
+    std::vector<std::string> payloads(
+        std::min<std::size_t>(1000, backlog - done), "[1]");
+    (void)fx.api->submit_tasks("bench", kWork, payloads);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fx.api->try_query_tasks(kWork, 1, "pool"));
+    state.PauseTiming();
+    (void)fx.api->submit_task("bench", kWork, "[1]");
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ClaimAtBacklog)
+    ->Arg(256)
+    ->Arg(1000)
+    ->Arg(4000)
+    ->Arg(16000)
+    ->Arg(64000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_UpdatePrioritiesAtHistory(benchmark::State& state) {
+  // update_priorities cost per row against the finished-task history
+  // (EXPERIMENTS.md): reprioritize a 256-task backlog after `history`
+  // tasks were submitted, claimed, reported and picked up. Items are rows.
+  Fixture fx;
+  const int history = static_cast<int>(state.range(0));
+  for (int done = 0; done < history; done += 1000) {
+    const int n = std::min(1000, history - done);
+    std::vector<std::string> payloads(static_cast<std::size_t>(n), "[1]");
+    auto ids = fx.api->submit_tasks("history", kWork, payloads).value();
+    auto claimed = fx.api->try_query_tasks(kWork, n, "pool");
+    for (const auto& h : claimed.value()) {
+      (void)fx.api->report_task(h.eq_task_id, kWork, "{}");
+    }
+    (void)fx.api->try_query_completed(ids, n);
+  }
+  std::vector<std::string> payloads(256, "[1]");
+  auto queued = fx.api->submit_tasks("bench", kWork, payloads).value();
+  Priority priority = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fx.api->update_priorities(queued, {++priority}));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(queued.size()));
+}
+BENCHMARK(BM_UpdatePrioritiesAtHistory)
+    ->Arg(0)
+    ->Arg(2000)
+    ->Arg(8000)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_FullTaskCycle(benchmark::State& state) {
   // submit -> claim -> report -> query_result, the complete §IV-C loop.

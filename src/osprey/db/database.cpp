@@ -55,8 +55,8 @@ Result<Table*> Database::create_table(const std::string& name, Schema schema) {
   }
   // Index creations on this table report back here so the observer sees
   // them (the implicit primary-key index is part of create_table itself).
-  table->set_index_hook([this, name](const std::string& column) {
-    return observer_ ? observer_->on_create_index(name, column) : Status::ok();
+  table->set_index_hook([this, name](const std::string& spec) {
+    return observer_ ? observer_->on_create_index(name, spec) : Status::ok();
   });
   Table* ptr = table.get();
   tables_.emplace(name, std::move(table));

@@ -45,8 +45,9 @@ class CommitObserver {
   /// SQL engines), so these are logged immediately rather than at commit.
   virtual Status on_create_table(const Table& table) = 0;
   virtual Status on_drop_table(const std::string& name) = 0;
+  /// `spec` is the index's canonical spec (db::index_spec_string).
   virtual Status on_create_index(const std::string& table,
-                                 const std::string& column) = 0;
+                                 const std::string& spec) = 0;
 };
 
 /// RAII transaction guard. Holds the database lock for its lifetime; commit()

@@ -99,8 +99,8 @@ json::Value dump_database(const Database& db) {
     tj["columns"] = schema_to_json(table->schema());
 
     json::Array indexes;
-    for (const std::string& col : table->indexed_columns()) {
-      indexes.emplace_back(col);
+    for (const std::string& spec : table->index_specs()) {
+      indexes.emplace_back(spec);
     }
     tj["indexes"] = json::Value(std::move(indexes));
 

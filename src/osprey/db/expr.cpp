@@ -1,5 +1,7 @@
 #include "osprey/db/expr.h"
 
+#include <utility>
+
 namespace osprey::db {
 
 namespace {
@@ -209,46 +211,6 @@ bool eval_predicate(const Expr& e, const Schema& schema, const Row& row,
 }
 
 namespace {
-void collect_eq(const Expr& e, const std::vector<Value>& params,
-                std::vector<EqConstraint>& out) {
-  if (e.kind != ExprKind::kBinary) return;
-  if (e.op == BinOp::kAnd) {
-    collect_eq(*e.lhs, params, out);
-    collect_eq(*e.rhs, params, out);
-    return;
-  }
-  if (e.op != BinOp::kEq) return;
-  const Expr* column_side = nullptr;
-  const Expr* value_side = nullptr;
-  if (e.lhs->kind == ExprKind::kColumn) {
-    column_side = e.lhs.get();
-    value_side = e.rhs.get();
-  } else if (e.rhs->kind == ExprKind::kColumn) {
-    column_side = e.rhs.get();
-    value_side = e.lhs.get();
-  } else {
-    return;
-  }
-  if (value_side->kind == ExprKind::kLiteral) {
-    out.push_back({column_side->column, value_side->literal});
-  } else if (value_side->kind == ExprKind::kParam &&
-             value_side->param_index >= 0 &&
-             static_cast<std::size_t>(value_side->param_index) < params.size()) {
-    out.push_back(
-        {column_side->column,
-         params[static_cast<std::size_t>(value_side->param_index)]});
-  }
-}
-}  // namespace
-
-std::vector<EqConstraint> extract_eq_constraints(
-    const Expr& e, const std::vector<Value>& params) {
-  std::vector<EqConstraint> out;
-  collect_eq(e, params, out);
-  return out;
-}
-
-namespace {
 // A value-yielding leaf usable for index probing: literal or bound param.
 const Value* probe_value(const Expr& e, const std::vector<Value>& params) {
   if (e.kind == ExprKind::kLiteral) return &e.literal;
@@ -259,49 +221,51 @@ const Value* probe_value(const Expr& e, const std::vector<Value>& params) {
   return nullptr;
 }
 
-void collect_probes(const Expr& e, const std::vector<Value>& params,
-                    std::vector<InConstraint>& out) {
+void collect_conjuncts(const Expr& e, std::vector<const Expr*>& out) {
   if (e.kind == ExprKind::kBinary && e.op == BinOp::kAnd) {
-    collect_probes(*e.lhs, params, out);
-    collect_probes(*e.rhs, params, out);
+    collect_conjuncts(*e.lhs, out);
+    collect_conjuncts(*e.rhs, out);
     return;
   }
-  if (e.kind == ExprKind::kBinary && e.op == BinOp::kEq) {
-    const Expr* column_side = nullptr;
-    const Expr* value_side = nullptr;
-    if (e.lhs->kind == ExprKind::kColumn) {
-      column_side = e.lhs.get();
-      value_side = e.rhs.get();
-    } else if (e.rhs->kind == ExprKind::kColumn) {
-      column_side = e.rhs.get();
-      value_side = e.lhs.get();
-    } else {
-      return;
-    }
-    if (const Value* v = probe_value(*value_side, params)) {
-      out.push_back({column_side->column, {*v}});
-    }
-    return;
-  }
-  if (e.kind == ExprKind::kIn && e.lhs->kind == ExprKind::kColumn) {
-    InConstraint probe;
-    probe.column = e.lhs->column;
-    probe.values.reserve(e.items.size());
-    for (const ExprPtr& item : e.items) {
-      const Value* v = probe_value(*item, params);
-      if (!v) return;  // non-constant item: cannot use the index
-      probe.values.push_back(*v);
-    }
-    out.push_back(std::move(probe));
-  }
+  out.push_back(&e);
 }
 }  // namespace
 
-std::vector<InConstraint> extract_index_probes(
-    const Expr& e, const std::vector<Value>& params) {
-  std::vector<InConstraint> out;
-  collect_probes(e, params, out);
+std::vector<const Expr*> conjuncts(const Expr& e) {
+  std::vector<const Expr*> out;
+  collect_conjuncts(e, out);
   return out;
+}
+
+std::optional<InConstraint> index_probe(const Expr& e,
+                                        const std::vector<Value>& params) {
+  if (e.kind == ExprKind::kIsNull && e.lhs->kind == ExprKind::kColumn) {
+    return InConstraint{e.lhs->column, {Value(nullptr)}};
+  }
+  if (e.kind == ExprKind::kBinary && e.op == BinOp::kEq) {
+    const Expr* column_side = e.lhs.get();
+    const Expr* value_side = e.rhs.get();
+    if (column_side->kind != ExprKind::kColumn) {
+      std::swap(column_side, value_side);
+    }
+    if (column_side->kind != ExprKind::kColumn) return std::nullopt;
+    const Value* v = probe_value(*value_side, params);
+    if (!v) return std::nullopt;
+    InConstraint probe{column_side->column, {}};
+    if (!v->is_null()) probe.values.push_back(*v);
+    return probe;
+  }
+  if (e.kind == ExprKind::kIn && e.lhs->kind == ExprKind::kColumn) {
+    InConstraint probe{e.lhs->column, {}};
+    probe.values.reserve(e.items.size());
+    for (const ExprPtr& item : e.items) {
+      const Value* v = probe_value(*item, params);
+      if (!v) return std::nullopt;  // non-constant item: cannot use the index
+      if (!v->is_null()) probe.values.push_back(*v);
+    }
+    return probe;
+  }
+  return std::nullopt;
 }
 
 }  // namespace osprey::db

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,27 +68,29 @@ bool eval_predicate(const Expr& e, const Schema& schema, const Row& row,
                     const std::vector<Value>& params = {},
                     Error* error_out = nullptr);
 
-/// If the expression is exactly `column = literal-or-param` (possibly under
-/// one level of AND), extract (column, value) pairs usable for index lookup.
-/// Used by the table scan planner.
+/// A column pinned to one value, e.g. the leading columns of an index seek.
 struct EqConstraint {
   std::string column;
   Value value;
 };
-std::vector<EqConstraint> extract_eq_constraints(
-    const Expr& e, const std::vector<Value>& params);
 
-/// Like extract_eq_constraints, but also recognizes `column IN (...)` with
-/// literal/param items (possibly under ANDs): each hit yields the column and
-/// the set of probe values. An equality is a one-value probe. Used by the
-/// table planner so equality and IN filters on an indexed column are index
-/// probes instead of full scans; the first indexed constraint in WHERE order
-/// is the one probed.
+/// A column pinned to any of a set of values.
 struct InConstraint {
   std::string column;
   std::vector<Value> values;
 };
-std::vector<InConstraint> extract_index_probes(
-    const Expr& e, const std::vector<Value>& params);
+
+/// The top-level AND conjuncts of a WHERE expression, left to right (the
+/// expression itself when it is not an AND).
+std::vector<const Expr*> conjuncts(const Expr& e);
+
+/// If `conjunct` is `column = v`, `v = column`, `column IN (v, ...)` or
+/// `column IS NULL`, each v a literal or a bound parameter: the column and
+/// the values that satisfy it. The conjunct is true for exactly the rows
+/// whose cell compares equal to one of the values — NULL items of = and IN
+/// never match and are dropped, IS NULL yields the one value NULL — so the
+/// table planner answers it with index seeks and never re-evaluates it.
+std::optional<InConstraint> index_probe(const Expr& conjunct,
+                                        const std::vector<Value>& params);
 
 }  // namespace osprey::db

@@ -2,7 +2,7 @@
 //
 // Supported statements (enough to express every EMEWS DB operation in §IV-C):
 //   CREATE TABLE t (col TYPE [PRIMARY KEY] [NOT NULL], ...)
-//   CREATE INDEX ON t (col)
+//   CREATE INDEX ON t (col [ASC|DESC], ...)
 //   DROP TABLE t
 //   INSERT INTO t (cols...) VALUES (exprs...)
 //   SELECT * | cols... | COUNT(*) FROM t [WHERE e] [ORDER BY c [ASC|DESC],...]
@@ -32,7 +32,7 @@ struct CreateTableStmt {
 
 struct CreateIndexStmt {
   std::string table;
-  std::string column;
+  std::vector<OrderTerm> columns;  // key columns in order, with directions
 };
 
 struct DropTableStmt {

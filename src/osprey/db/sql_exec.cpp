@@ -90,7 +90,7 @@ Result<ExecResult> Connection::run(const Statement& stmt,
         } else if constexpr (std::is_same_v<T, CreateIndexStmt>) {
           Table* t = db_.table(s.table);
           if (!t) return Error(ErrorCode::kNotFound, "no table '" + s.table + "'");
-          Status st = t->create_index(s.column);
+          Status st = t->create_index(index_spec_string(s.columns));
           if (!st.is_ok()) return st.error();
           return result;
         } else if constexpr (std::is_same_v<T, DropTableStmt>) {

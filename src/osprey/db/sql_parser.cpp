@@ -141,18 +141,9 @@ class Parser {
     }
     if (accept_keyword("ORDER")) {
       if (Status s = expect_keyword("BY"); !s.is_ok()) return s.error();
-      while (true) {
-        Result<std::string> name = expect_identifier("ORDER BY column");
-        if (!name.ok()) return name.error();
-        OrderTerm term{std::move(name).take(), true};
-        if (accept_keyword("DESC")) {
-          term.ascending = false;
-        } else {
-          accept_keyword("ASC");
-        }
-        stmt.order_by.push_back(std::move(term));
-        if (!accept_symbol(",")) break;
-      }
+      Result<std::vector<OrderTerm>> terms = parse_terms("ORDER BY column");
+      if (!terms.ok()) return terms.error();
+      stmt.order_by = std::move(terms).take();
     }
     if (accept_keyword("LIMIT")) {
       if (at_kind(TokenKind::kInteger)) {
@@ -268,20 +259,38 @@ class Parser {
       return Statement{std::move(stmt)};
     }
     if (accept_keyword("INDEX")) {
-      // CREATE INDEX ON t (col) — the index name is implicit in our engine.
+      // CREATE INDEX ON t (a, b DESC, ...) — the index name is implicit in
+      // our engine: its spec (index_spec_string) names it.
       if (Status s = expect_keyword("ON"); !s.is_ok()) return s.error();
       CreateIndexStmt stmt;
       Result<std::string> table = expect_identifier("table name");
       if (!table.ok()) return table.error();
       stmt.table = std::move(table).take();
       if (Status s = expect_symbol("("); !s.is_ok()) return s.error();
-      Result<std::string> column = expect_identifier("column name");
-      if (!column.ok()) return column.error();
-      stmt.column = std::move(column).take();
+      Result<std::vector<OrderTerm>> terms = parse_terms("column name");
+      if (!terms.ok()) return terms.error();
+      stmt.columns = std::move(terms).take();
       if (Status s = expect_symbol(")"); !s.is_ok()) return s.error();
       return Statement{std::move(stmt)};
     }
     return fail("expected TABLE or INDEX after CREATE");
+  }
+
+  // terms := column [ASC|DESC] (, column [ASC|DESC])*
+  Result<std::vector<OrderTerm>> parse_terms(const char* what) {
+    std::vector<OrderTerm> terms;
+    do {
+      Result<std::string> name = expect_identifier(what);
+      if (!name.ok()) return name.error();
+      OrderTerm term{std::move(name).take(), true};
+      if (accept_keyword("DESC")) {
+        term.ascending = false;
+      } else {
+        accept_keyword("ASC");
+      }
+      terms.push_back(std::move(term));
+    } while (accept_symbol(","));
+    return terms;
   }
 
   Result<Statement> parse_drop() {

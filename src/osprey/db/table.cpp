@@ -2,8 +2,137 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cctype>
+#include <limits>
+#include <sstream>
+#include <tuple>
 
 namespace osprey::db {
+
+namespace {
+
+constexpr std::size_t kNoLimit = std::numeric_limits<std::size_t>::max();
+
+// One cell as an index sees it: equal under the total order and of the same
+// type, so an index never keeps an int key for a cell that became real.
+bool same_cell(const Value& a, const Value& b) {
+  return a.compare(b) == 0 && a.is_int() == b.is_int();
+}
+
+std::string upper(std::string s) {
+  for (char& c : s) {
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
+  return s;
+}
+
+// The canonical spelling of `spec`, or "" when it is malformed.
+std::string canonical_spec(const std::string& spec) {
+  Result<std::vector<OrderTerm>> terms = parse_index_spec(spec);
+  return terms.ok() ? index_spec_string(terms.value()) : std::string();
+}
+
+}  // namespace
+
+std::string index_spec_string(const std::vector<OrderTerm>& columns) {
+  std::string out;
+  for (const OrderTerm& term : columns) {
+    if (!out.empty()) out += ", ";
+    out += term.column;
+    if (!term.ascending) out += " DESC";
+  }
+  return out;
+}
+
+Result<std::vector<OrderTerm>> parse_index_spec(const std::string& spec) {
+  std::vector<OrderTerm> terms;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t comma = spec.find(',', start);
+    std::istringstream words(spec.substr(
+        start, comma == std::string::npos ? std::string::npos : comma - start));
+    std::string column, direction, extra;
+    words >> column >> direction >> extra;
+    const std::string dir = upper(direction);
+    if (column.empty() || !extra.empty() ||
+        (!dir.empty() && dir != "ASC" && dir != "DESC")) {
+      return Error(ErrorCode::kInvalidArgument,
+                   "malformed index spec '" + spec + "'");
+    }
+    for (const OrderTerm& term : terms) {
+      if (term.column == column) {
+        return Error(ErrorCode::kInvalidArgument,
+                     "column '" + column + "' repeated in index spec '" +
+                         spec + "'");
+      }
+    }
+    terms.push_back({column, dir != "DESC"});
+    if (comma == std::string::npos) return terms;
+    start = comma + 1;
+  }
+}
+
+// --- index keys -------------------------------------------------------------
+
+std::vector<Value> Table::IndexKey::cells() const {
+  std::vector<Value> out;
+  out.reserve(1 + rest.size());
+  out.push_back(first);
+  out.insert(out.end(), rest.begin(), rest.end());
+  return out;
+}
+
+int Table::IndexLess::compare_cells(const IndexKey& a, const IndexKey& b,
+                                    std::size_t n) const {
+  for (std::size_t i = 0; i < n; ++i) {
+    const int c = a.cell(i).compare(b.cell(i));
+    if (c != 0) return descending_[i] ? -c : c;
+  }
+  return 0;
+}
+
+int Table::IndexLess::compare_prefix(const IndexKey& a,
+                                     const std::vector<Value>& b) const {
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    const int c = a.cell(i).compare(b[i]);
+    if (c != 0) return descending_[i] ? -c : c;
+  }
+  return 0;
+}
+
+bool Table::IndexLess::operator()(const IndexKey& a, const IndexKey& b) const {
+  const int c = compare_cells(a, b, descending_.size());
+  return c != 0 ? c < 0 : a.id < b.id;
+}
+
+bool Table::IndexLess::operator()(const IndexKey& a,
+                                  const IndexBound& b) const {
+  const int c = compare_prefix(a, *b.prefix);
+  return c != 0 ? c < 0 : b.after;
+}
+
+bool Table::IndexLess::operator()(const IndexBound& a,
+                                  const IndexKey& b) const {
+  const int c = compare_prefix(b, *a.prefix);
+  return c != 0 ? c > 0 : !a.after;
+}
+
+Table::Range Table::seek(const Index& index, const std::vector<Value>& prefix) {
+  return {index.entries.lower_bound(IndexBound{&prefix, false}),
+          index.entries.lower_bound(IndexBound{&prefix, true})};
+}
+
+Table::IndexKey Table::key_of(const Index& index, const Row& row,
+                              RowId id) const {
+  IndexKey key{row[index.columns.front()], {}, id};
+  key.rest.reserve(index.columns.size() - 1);
+  for (std::size_t j = 1; j < index.columns.size(); ++j) {
+    key.rest.push_back(row[index.columns[j]]);
+  }
+  return key;
+}
+
+// --- table ------------------------------------------------------------------
 
 Table::Table(std::string name, Schema schema,
              std::unique_ptr<storage::RowStore> store)
@@ -14,10 +143,11 @@ Table::Table(std::string name, Schema schema,
   // The primary key is always indexed: task-id lookups are the hot path of
   // the EMEWS DB (§IV-C).
   if (schema_.primary_key_index() >= 0) {
-    indexes_.emplace(
+    Status created = create_index(
         schema_.column(static_cast<std::size_t>(schema_.primary_key_index()))
-            .name,
-        IndexMap{});
+            .name);
+    assert(created.is_ok());
+    (void)created;
   }
 }
 
@@ -35,94 +165,137 @@ Status Table::row_unavailable(RowId id) const {
                     "' unreadable (storage read error)");
 }
 
-Status Table::create_index(const std::string& column) {
-  int idx = schema_.index_of(column);
-  if (idx < 0) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "no column '" + column + "' in table '" + name_ + "'");
+Status Table::create_index(const std::string& spec) {
+  Result<std::vector<OrderTerm>> terms = parse_index_spec(spec);
+  if (!terms.ok()) return terms.error();
+  std::vector<std::size_t> columns;
+  std::vector<bool> descending;
+  for (const OrderTerm& term : terms.value()) {
+    int idx = schema_.index_of(term.column);
+    if (idx < 0) {
+      return Status(ErrorCode::kInvalidArgument, "no column '" + term.column +
+                                                     "' in table '" + name_ +
+                                                     "'");
+    }
+    columns.push_back(static_cast<std::size_t>(idx));
+    descending.push_back(!term.ascending);
   }
-  if (indexes_.count(column)) return Status::ok();  // idempotent
+  const std::string canonical = index_spec_string(terms.value());
+  if (indexes_.count(canonical)) return Status::ok();  // idempotent
+  Index index{std::move(terms).take(), std::move(columns),
+              IndexMap(IndexLess(std::move(descending)))};
   // Backfill before the hook logs the DDL: a failed scan must leave neither
   // a partial index nor a WAL record claiming the index exists.
-  IndexMap index;
   Status scanned = store_->scan([&](RowId id, const Row& row) {
-    index.emplace(row[static_cast<std::size_t>(idx)], id);
+    index.entries.insert(key_of(index, row, id));
     return Status::ok();
   });
   if (!scanned.is_ok()) return scanned;
   if (index_hook_) {
-    Status logged = index_hook_(column);
+    Status logged = index_hook_(canonical);
     if (!logged.is_ok()) return logged;
   }
-  indexes_.emplace(column, std::move(index));
+  indexes_.emplace(canonical, std::move(index));
   return Status::ok();
 }
 
-bool Table::has_index(const std::string& column) const {
-  return indexes_.count(column) > 0;
+const Table::Index* Table::find_index(const std::string& spec) const {
+  auto it = indexes_.find(spec);  // canonical spellings hit directly
+  if (it == indexes_.end()) it = indexes_.find(canonical_spec(spec));
+  return it == indexes_.end() ? nullptr : &it->second;
 }
 
-std::vector<std::string> Table::indexed_columns() const {
-  std::vector<std::string> names;
-  names.reserve(indexes_.size());
-  for (const auto& [column, _] : indexes_) names.push_back(column);
-  return names;
+const Table::Index* Table::pk_index() const {
+  const int pk = schema_.primary_key_index();
+  if (pk < 0) return nullptr;
+  // A one-column ascending spec is the column's name.
+  auto it = indexes_.find(schema_.column(static_cast<std::size_t>(pk)).name);
+  return it == indexes_.end() ? nullptr : &it->second;
+}
+
+bool Table::has_index(const std::string& spec) const {
+  return find_index(spec) != nullptr;
+}
+
+std::vector<std::string> Table::index_specs() const {
+  std::vector<std::string> specs;
+  specs.reserve(indexes_.size());
+  for (const auto& [spec, _] : indexes_) specs.push_back(spec);
+  return specs;
 }
 
 void Table::for_each_index_entry(
-    const std::string& column,
-    const std::function<void(const Value&, RowId)>& fn) const {
-  auto it = indexes_.find(column);
-  if (it == indexes_.end()) return;
-  for (const auto& [value, id] : it->second) fn(value, id);
+    const std::string& spec,
+    const std::function<void(const std::vector<Value>&, RowId)>& fn) const {
+  const Index* index = find_index(spec);
+  if (!index) return;
+  for (const IndexKey& key : index->entries) fn(key.cells(), key.id);
 }
 
-Status Table::restore_index_entry(const std::string& column, const Value& value,
-                                  RowId id) {
-  auto it = indexes_.find(column);
+Status Table::restore_index_entry(const std::string& spec,
+                                  std::vector<Value> values, RowId id) {
+  auto it = indexes_.find(spec);
+  if (it == indexes_.end()) it = indexes_.find(canonical_spec(spec));
   if (it == indexes_.end()) {
     return Status(ErrorCode::kInvalidArgument,
-                  "no index on '" + column + "' in table '" + name_ + "'");
+                  "no index (" + spec + ") in table '" + name_ + "'");
   }
-  it->second.emplace(value, id);
+  Index& index = it->second;
+  if (values.size() != index.columns.size()) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "index (" + spec + ") entry has " +
+                      std::to_string(values.size()) + " values, the index " +
+                      std::to_string(index.columns.size()) + " columns");
+  }
+  IndexKey key{std::move(values.front()), {}, id};
+  key.rest.assign(std::make_move_iterator(values.begin() + 1),
+                  std::make_move_iterator(values.end()));
+  index.entries.insert(std::move(key));
   if (id >= next_row_id_) next_row_id_ = id + 1;
   return Status::ok();
 }
 
 void Table::index_insert(const Row& row, RowId id) {
-  for (auto& [column, index] : indexes_) {
-    int idx = schema_.index_of(column);
-    index.emplace(row[static_cast<std::size_t>(idx)], id);
+  for (auto& [spec, index] : indexes_) {
+    index.entries.insert(key_of(index, row, id));
   }
 }
 
 void Table::index_erase(const Row& row, RowId id) {
-  for (auto& [column, index] : indexes_) {
-    int idx = schema_.index_of(column);
-    auto range = index.equal_range(row[static_cast<std::size_t>(idx)]);
-    for (auto it = range.first; it != range.second; ++it) {
-      if (it->second == id) {
-        index.erase(it);
-        break;
-      }
-    }
+  for (auto& [spec, index] : indexes_) {
+    auto it = index.entries.find(key_of(index, row, id));
+    if (it != index.entries.end()) index.entries.erase(it);
   }
 }
 
-Status Table::check_pk_unique(const Row& row,
+void Table::index_update(const Row& old_row, const Row& new_row, RowId id) {
+  for (auto& [spec, index] : indexes_) {
+    bool changed = false;
+    for (std::size_t column : index.columns) {
+      if (!same_cell(old_row[column], new_row[column])) changed = true;
+    }
+    if (!changed) continue;
+    auto it = index.entries.find(key_of(index, old_row, id));
+    if (it != index.entries.end()) index.entries.erase(it);
+    index.entries.insert(key_of(index, new_row, id));
+  }
+}
+
+Status Table::check_pk_unique(const Row& row, const Row* old_row,
                               std::optional<RowId> ignore) const {
-  int pk = schema_.primary_key_index();
-  if (pk < 0) return Status::ok();
-  const Value& key = row[static_cast<std::size_t>(pk)];
-  const std::string& pk_name = schema_.column(static_cast<std::size_t>(pk)).name;
-  auto it = indexes_.find(pk_name);
-  assert(it != indexes_.end());
-  auto range = it->second.equal_range(key);
-  for (auto i = range.first; i != range.second; ++i) {
-    if (!ignore || i->second != *ignore) {
+  const Index* pk = pk_index();
+  if (!pk) return Status::ok();
+  const std::size_t column = pk->columns.front();
+  if (old_row && same_cell((*old_row)[column], row[column])) {
+    return Status::ok();  // the row keeps its own key
+  }
+  const std::vector<Value> key{row[column]};
+  auto [it, end] = seek(*pk, key);
+  for (; it != end; ++it) {
+    if (!ignore || it->id != *ignore) {
       return Status(ErrorCode::kConflict,
-                    "duplicate primary key " + key.to_sql() + " in table '" +
-                        name_ + "'");
+                    "duplicate primary key " + key.front().to_sql() +
+                        " in table '" + name_ + "'");
     }
   }
   return Status::ok();
@@ -131,7 +304,7 @@ Status Table::check_pk_unique(const Row& row,
 Result<RowId> Table::insert(Row row) {
   Status valid = schema_.validate(row);
   if (!valid.is_ok()) return valid.error();
-  Status unique = check_pk_unique(row, std::nullopt);
+  Status unique = check_pk_unique(row, nullptr, std::nullopt);
   if (!unique.is_ok()) return unique.error();
   RowId id = next_row_id_++;
   index_insert(row, id);
@@ -145,145 +318,209 @@ Result<RowId> Table::insert(Row row) {
 std::optional<Row> Table::get(RowId id) const { return store_->get(id); }
 
 std::optional<RowId> Table::find_pk(const Value& key) const {
-  int pk = schema_.primary_key_index();
-  if (pk < 0) return std::nullopt;
-  const std::string& pk_name = schema_.column(static_cast<std::size_t>(pk)).name;
-  auto it = indexes_.find(pk_name);
-  if (it == indexes_.end()) return std::nullopt;
+  const Index* pk = pk_index();
+  if (!pk) return std::nullopt;
   ++index_lookups_;
-  auto range = it->second.equal_range(key);
-  if (range.first == range.second) return std::nullopt;
-  return range.first->second;
+  auto [it, end] = seek(*pk, {key});
+  if (it == end) return std::nullopt;
+  return it->id;
 }
 
-Result<std::vector<RowId>> Table::candidates(const ScanOptions& options) const {
-  // Planner: if WHERE contains `column = value` or `column IN (values)` on
-  // an indexed column, probe the index and filter the (usually small)
-  // candidate set; otherwise full scan. The first indexed constraint in
-  // WHERE order is probed, so EQSQL's single-id statements lead with
-  // `eq_task_id = ?`: a point probe, not a walk of the eq_status index.
-  if (options.where) {
-    for (const InConstraint& c :
-         extract_index_probes(*options.where, options.params)) {
-      auto it = indexes_.find(c.column);
-      if (it == indexes_.end()) continue;
-      ++index_lookups_;
-      std::vector<RowId> ids;
-      for (const Value& v : c.values) {
-        auto range = it->second.equal_range(v);
-        for (auto i = range.first; i != range.second; ++i) {
-          ids.push_back(i->second);
-        }
+// --- planner and walk -------------------------------------------------------
+
+Table::Plan Table::plan(const ScanOptions& options) const {
+  // Rule (DESIGN.md §5.3): for each index, the seek prefix is its longest
+  // run of leading columns that WHERE conjuncts pin by equality (an IN list
+  // may pin the last one, expanding to one seek per value). The walk yields
+  // the requested order when the index columns after the prefix, less the
+  // pinned ones, are the ORDER BY terms (less the pinned ones) in the same
+  // directions — or all reversed, walked backward. The plan with the
+  // primary-key point probe wins, then the longest prefix, then an ordered
+  // walk, then the earliest conjunct in WHERE order. An index with no
+  // prefix is used only for an ordered walk under LIMIT.
+  Plan best;
+  std::vector<const Expr*> where;
+  if (options.where) where = conjuncts(*options.where);
+  std::vector<std::optional<InConstraint>> probes;
+  probes.reserve(where.size());
+  for (const Expr* conjunct : where) {
+    probes.push_back(index_probe(*conjunct, options.params));
+  }
+  auto probe_on = [&](const std::string& column) {
+    return std::find_if(probes.begin(), probes.end(), [&](const auto& p) {
+      return p && p->column == column;
+    });
+  };
+  // Columns every matching row holds one value in: they only tie, in ORDER
+  // BY and in the index alike.
+  auto pinned = [&](const std::string& column) {
+    return std::any_of(probes.begin(), probes.end(), [&](const auto& p) {
+      return p && p->column == column && p->values.size() == 1;
+    });
+  };
+  // Do `index`'s columns from `k` on, less the pinned ones, walk in the
+  // order of the ORDER BY terms, less the pinned ones (all flipped)?
+  auto walks_in_order = [&](const Index& index, std::size_t k, bool flipped) {
+    auto term = options.order_by.begin();
+    auto next_wanted = [&] {
+      while (term != options.order_by.end() && pinned(term->column)) ++term;
+    };
+    next_wanted();
+    for (std::size_t j = k; j < index.terms.size(); ++j) {
+      if (pinned(index.terms[j].column)) continue;
+      if (term == options.order_by.end() ||
+          term->column != index.terms[j].column ||
+          (term->ascending != index.terms[j].ascending) != flipped) {
+        return false;
       }
-      std::sort(ids.begin(), ids.end());  // deterministic base order
-      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-      return ids;
+      ++term;
+      next_wanted();
+    }
+    return term == options.order_by.end();
+  };
+  const bool wants_order = std::any_of(
+      options.order_by.begin(), options.order_by.end(),
+      [&](const OrderTerm& term) { return !pinned(term.column); });
+
+  const Index* pk = pk_index();
+  std::tuple<bool, std::size_t, bool, std::ptrdiff_t> best_score{false, 0,
+                                                                 false, 0};
+  std::size_t best_k = 0;
+  for (const auto& [spec, index] : indexes_) {
+    std::size_t k = 0;
+    bool single = true;
+    std::ptrdiff_t first = 0;
+    for (; k < index.terms.size() && single; ++k) {
+      auto hit = probe_on(index.terms[k].column);
+      if (hit == probes.end()) break;
+      if (k == 0) first = -(hit - probes.begin());
+      single = (*hit)->values.size() == 1;
+    }
+    const bool forward = single && walks_in_order(index, k, false);
+    const bool backward = single && !forward && walks_in_order(index, k, true);
+    const bool ordered = forward || backward;
+    if (k == 0 && !(ordered && wants_order && options.limit >= 0)) continue;
+    const bool point = &index == pk && k == 1 && single;
+    const auto score = std::make_tuple(point, k, ordered, first);
+    if (best.index && score <= best_score) continue;
+    best_score = score;
+    best_k = k;
+    best.index = &index;
+    best.ordered = ordered;
+    best.reverse = backward;
+  }
+
+  // The chosen seeks, and the conjuncts they leave to evaluate.
+  std::vector<bool> covered(where.size(), false);
+  if (best.index) {
+    best.seeks.assign(1, {});
+    for (std::size_t j = 0; j < best_k; ++j) {
+      auto hit = probe_on(best.index->terms[j].column);
+      covered[static_cast<std::size_t>(hit - probes.begin())] = true;
+      const std::vector<Value>& values = (*hit)->values;
+      if (values.size() == 1) {
+        for (auto& prefix : best.seeks) prefix.push_back(values.front());
+        continue;
+      }
+      // The prefix's last column: one seek per IN value (none for `= NULL`).
+      std::vector<std::vector<Value>> expanded;
+      for (const Value& v : values) {
+        expanded.push_back(best.seeks.front());
+        expanded.back().push_back(v);
+      }
+      best.seeks = std::move(expanded);
     }
   }
-  ++full_scans_;
-  return all_row_ids();
+  for (std::size_t i = 0; i < where.size(); ++i) {
+    if (!covered[i]) best.residual.push_back(where[i]);
+  }
+  return best;
 }
 
-Result<std::vector<RowId>> Table::select_ordered_via_index(
-    const ScanOptions& options, const IndexMap& index) const {
-  ++index_lookups_;
-  const bool ascending = options.order_by.front().ascending;
-  const std::size_t limit = static_cast<std::size_t>(options.limit);
-  std::vector<OrderTerm> tail_terms(options.order_by.begin() + 1,
-                                    options.order_by.end());
-  std::vector<RowId> out;
-  Error row_err{ErrorCode::kOk, ""};
+Result<bool> Table::matches(RowId id, const std::vector<const Expr*>& conjuncts,
+                            const std::vector<Value>& params,
+                            Row* scratch) const {
+  const Row* row = fetch_row(id, scratch);
+  if (!row) return row_unavailable(id).error();
+  for (const Expr* conjunct : conjuncts) {
+    // Eval errors (bad column, missing param) are real errors, not "false".
+    Error err{ErrorCode::kOk, ""};
+    const bool hit = eval_predicate(*conjunct, schema_, *row, params, &err);
+    if (err.code != ErrorCode::kOk) return err;
+    if (!hit) return false;
+  }
+  return true;
+}
 
-  // Walk the index one equal-key group at a time in the requested direction;
-  // rows within a group are ordered by the remaining terms (then row id, the
-  // same tie rule as the sort-based path).
-  auto emit_group = [&](IndexMap::const_iterator begin,
-                        IndexMap::const_iterator end) -> Status {
-    std::vector<RowId> group;
-    Row scratch;
-    for (auto it = begin; it != end; ++it) {
-      if (options.where) {
-        const Row* row = fetch_row(it->second, &scratch);
-        if (!row) return row_unavailable(it->second);
-        bool match =
-            eval_predicate(*options.where, schema_, *row, options.params,
-                           &row_err);
-        if (row_err.code != ErrorCode::kOk) return Status(row_err);
-        if (!match) continue;
-      }
-      group.push_back(it->second);
+Status Table::walk(const Plan& plan, const ScanOptions& options,
+                   std::size_t limit, std::vector<RowId>& out) const {
+  ++index_lookups_;
+  Row scratch;
+  auto emit = [&](const IndexKey& key) -> Status {
+    ++index_entries_read_;
+    if (!plan.residual.empty()) {
+      Result<bool> hit =
+          matches(key.id, plan.residual, options.params, &scratch);
+      if (!hit.ok()) return hit.error();
+      if (!hit.value()) return Status::ok();
     }
-    std::sort(group.begin(), group.end());
-    if (!tail_terms.empty()) {
-      Status ordered = order_rows(group, tail_terms);
-      if (!ordered.is_ok()) return ordered;
-    }
-    for (RowId id : group) {
-      if (out.size() >= limit) break;
-      out.push_back(id);
-    }
+    out.push_back(key.id);
     return Status::ok();
   };
-
-  if (ascending) {
-    auto it = index.begin();
-    while (it != index.end() && out.size() < limit) {
-      auto group_end = index.upper_bound(it->first);
-      if (Status s = emit_group(it, group_end); !s.is_ok()) return s.error();
-      it = group_end;
+  for (const std::vector<Value>& prefix : plan.seeks) {
+    auto [begin, end] = seek(*plan.index, prefix);
+    if (!plan.reverse) {
+      for (auto it = begin; it != end && out.size() < limit; ++it) {
+        if (Status s = emit(*it); !s.is_ok()) return s;
+      }
+      continue;
     }
-  } else {
-    auto it = index.end();
-    while (it != index.begin() && out.size() < limit) {
-      auto group_end = it;
-      it = index.lower_bound(std::prev(it)->first);
-      if (Status s = emit_group(it, group_end); !s.is_ok()) return s.error();
+    // Backward one group of equal cells at a time, each group forward, so
+    // ties keep ascending row-id order.
+    while (end != begin && out.size() < limit) {
+      const std::vector<Value> cells = std::prev(end)->cells();
+      auto group = plan.index->entries.lower_bound(IndexBound{&cells, false});
+      for (auto it = group; it != end && out.size() < limit; ++it) {
+        if (Status s = emit(*it); !s.is_ok()) return s;
+      }
+      end = group;
     }
   }
-  return out;
+  return Status::ok();
 }
 
 Result<std::vector<RowId>> Table::select(const ScanOptions& options) const {
-  // Top-N plan: ORDER BY <indexed column> ... LIMIT n walks the index and
-  // stops early — the shape of the §IV-C output-queue pop.
-  if (!options.order_by.empty() && options.limit >= 0) {
-    // Validate the remaining ORDER BY columns up front (the sort-based path
-    // would reject unknown columns; this path must too).
-    for (const OrderTerm& term : options.order_by) {
-      if (schema_.index_of(term.column) < 0) {
-        return Error(ErrorCode::kInvalidArgument,
-                     "ORDER BY unknown column '" + term.column + "'");
-      }
-    }
-    auto it = indexes_.find(options.order_by.front().column);
-    if (it != indexes_.end()) {
-      return select_ordered_via_index(options, it->second);
+  for (const OrderTerm& term : options.order_by) {
+    if (schema_.index_of(term.column) < 0) {
+      return Error(ErrorCode::kInvalidArgument,
+                   "ORDER BY unknown column '" + term.column + "'");
     }
   }
-  Result<std::vector<RowId>> cand = candidates(options);
-  if (!cand.ok()) return cand;
+  const std::size_t limit =
+      options.limit >= 0 ? static_cast<std::size_t>(options.limit) : kNoLimit;
+  const Plan p = plan(options);
   std::vector<RowId> ids;
-  ids.reserve(cand.value().size());
-  Row scratch;
-  for (RowId id : cand.value()) {
-    if (options.where) {
-      const Row* row = fetch_row(id, &scratch);
-      if (!row) return row_unavailable(id).error();
-      // Eval errors (bad column, missing param) are real errors, not "false".
-      Error row_err{ErrorCode::kOk, ""};
-      bool match = eval_predicate(*options.where, schema_, *row, options.params,
-                                  &row_err);
-      if (row_err.code != ErrorCode::kOk) return row_err;
-      if (!match) continue;
+  if (p.index) {
+    Status walked = walk(p, options, p.ordered ? limit : kNoLimit, ids);
+    if (!walked.is_ok()) return walked.error();
+    if (p.ordered) return ids;
+    std::sort(ids.begin(), ids.end());  // deterministic base order
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  } else {
+    ++full_scans_;
+    Row scratch;
+    for (RowId id : all_row_ids()) {
+      if (!p.residual.empty()) {
+        Result<bool> hit = matches(id, p.residual, options.params, &scratch);
+        if (!hit.ok()) return hit.error();
+        if (!hit.value()) continue;
+      }
+      ids.push_back(id);
     }
-    ids.push_back(id);
   }
   Status ordered = order_rows(ids, options.order_by);
   if (!ordered.is_ok()) return ordered.error();
-  if (options.limit >= 0 &&
-      ids.size() > static_cast<std::size_t>(options.limit)) {
-    ids.resize(static_cast<std::size_t>(options.limit));
-  }
+  if (ids.size() > limit) ids.resize(limit);
   return ids;
 }
 
@@ -294,6 +531,42 @@ Result<std::optional<RowId>> Table::select_one(const ScanOptions& options) const
   if (!r.ok()) return r.error();
   if (r.value().empty()) return std::optional<RowId>{};
   return std::optional<RowId>{r.value().front()};
+}
+
+Result<std::vector<Value>> Table::distinct_values(
+    const std::vector<EqConstraint>& prefix, const std::string& column) const {
+  for (const auto& [spec, index] : indexes_) {
+    if (index.terms.size() <= prefix.size() ||
+        index.terms[prefix.size()].column != column) {
+      continue;
+    }
+    std::vector<Value> bound;
+    for (std::size_t j = 0; j < prefix.size(); ++j) {
+      auto pin = std::find_if(prefix.begin(), prefix.end(), [&](const auto& c) {
+        return c.column == index.terms[j].column;
+      });
+      if (pin == prefix.end()) break;
+      bound.push_back(pin->value);
+    }
+    if (bound.size() != prefix.size()) continue;
+    ++index_lookups_;
+    std::vector<Value> out;
+    auto [it, end] = seek(index, bound);
+    while (it != end) {
+      ++index_entries_read_;
+      out.push_back(it->cell(prefix.size()));
+      bound.push_back(out.back());
+      it = index.entries.lower_bound(IndexBound{&bound, true});
+      bound.pop_back();
+    }
+    if (!index.terms[prefix.size()].ascending) {
+      std::reverse(out.begin(), out.end());
+    }
+    return out;
+  }
+  return Error(ErrorCode::kInvalidArgument,
+               "no index of table '" + name_ + "' leads with the pinned "
+               "columns then '" + column + "'");
 }
 
 Status Table::order_rows(std::vector<RowId>& ids,
@@ -367,10 +640,9 @@ Result<std::size_t> Table::update(
     }
     Status valid = schema_.validate(new_row);
     if (!valid.is_ok()) return valid.error();
-    Status unique = check_pk_unique(new_row, id);
+    Status unique = check_pk_unique(new_row, &old_row, id);
     if (!unique.is_ok()) return unique.error();
-    index_erase(old_row, id);
-    index_insert(new_row, id);
+    index_update(old_row, new_row, id);
     store_->put(id, std::move(new_row));
     if (journal_) {
       journal_->push_back(
@@ -389,10 +661,9 @@ Status Table::update_row(RowId id, Row row) {
   }
   Status valid = schema_.validate(row);
   if (!valid.is_ok()) return valid;
-  Status unique = check_pk_unique(row, id);
+  Status unique = check_pk_unique(row, &*old_row, id);
   if (!unique.is_ok()) return unique;
-  index_erase(*old_row, id);
-  index_insert(row, id);
+  index_update(*old_row, row, id);
   store_->put(id, std::move(row));
   if (journal_) {
     journal_->push_back(
@@ -445,9 +716,7 @@ Status Table::clear() {
     }
   }
   store_->clear();
-  for (auto& [column, index] : indexes_) {
-    index.clear();
-  }
+  for (auto& [spec, index] : indexes_) index.entries.clear();
   return Status::ok();
 }
 

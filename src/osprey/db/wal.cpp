@@ -486,18 +486,50 @@ Status SimLogDevice::sync(const std::string& segment) {
   return Status::ok();
 }
 
-Result<std::string> SimLogDevice::read(const std::string& segment) {
-  std::lock_guard<std::mutex> guard(mutex_);
+Result<std::pair<const std::string*, const std::string*>>
+SimLogDevice::parts_locked(const std::string& segment) {
   Status alive = fail_if_dead_locked("read");
   if (!alive.is_ok()) return alive.error();
-  std::string out;
+  if (auto bad = disk_->unreadable.find(segment);
+      bad != disk_->unreadable.end()) {
+    return Error(bad->second, "cannot read '" + segment + "'");
+  }
   auto durable = disk_->segments.find(segment);
-  if (durable != disk_->segments.end()) out = durable->second;
   auto pending = pending_.find(segment);
-  if (pending != pending_.end()) out += pending->second;
-  if (out.empty() && durable == disk_->segments.end() &&
-      pending == pending_.end()) {
+  if (durable == disk_->segments.end() && pending == pending_.end()) {
     return Error(ErrorCode::kNotFound, "no segment '" + segment + "'");
+  }
+  return std::pair<const std::string*, const std::string*>(
+      durable == disk_->segments.end() ? nullptr : &durable->second,
+      pending == pending_.end() ? nullptr : &pending->second);
+}
+
+Result<std::string> SimLogDevice::read(const std::string& segment) {
+  std::lock_guard<std::mutex> guard(mutex_);
+  auto parts = parts_locked(segment);
+  if (!parts.ok()) return parts.error();
+  std::string out;
+  if (parts.value().first) out = *parts.value().first;
+  if (parts.value().second) out += *parts.value().second;
+  return out;
+}
+
+Result<std::string> SimLogDevice::read_range(const std::string& segment,
+                                             std::uint64_t offset,
+                                             std::uint64_t length) {
+  std::lock_guard<std::mutex> guard(mutex_);
+  auto parts = parts_locked(segment);
+  if (!parts.ok()) return parts.error();
+  std::string out;
+  for (const std::string* part : {parts.value().first, parts.value().second}) {
+    if (!part || out.size() == length) continue;
+    if (offset >= part->size()) {
+      offset -= part->size();
+      continue;
+    }
+    out += part->substr(static_cast<std::size_t>(offset),
+                        static_cast<std::size_t>(length - out.size()));
+    offset = 0;
   }
   return out;
 }
@@ -585,6 +617,27 @@ std::uint64_t SimLogDevice::bytes_durable() const {
   return total;
 }
 
+Result<json::Value> decode_checkpoint(const std::string& image, Lsn* lsn) {
+  const Error torn(ErrorCode::kInvalidArgument, "torn checkpoint image");
+  if (image.size() < sizeof(kCkptMagic) + 8 ||
+      std::memcmp(image.data(), kCkptMagic, sizeof(kCkptMagic)) != 0) {
+    return torn;
+  }
+  Reader r{image, sizeof(kCkptMagic), image.size()};
+  const std::uint32_t len = r.u32();
+  const std::uint32_t crc = r.u32();
+  if (!r.ok || image.size() - r.pos < len || len < 8 ||
+      crc32(image.data() + r.pos, len) != crc) {
+    return torn;
+  }
+  Reader body{image, r.pos, r.pos + len};
+  const Lsn body_lsn = body.u64();
+  Result<json::Value> doc = json::parse(image.substr(body.pos, len - 8));
+  if (!doc.ok()) return torn;
+  if (lsn) *lsn = body_lsn;
+  return doc;
+}
+
 // --- recovery ---------------------------------------------------------------
 
 namespace {
@@ -595,29 +648,21 @@ struct CheckpointData {
   bool found = false;
 };
 
-// Read and validate the newest intact checkpoint; invalid ones (torn during
-// their own write) are skipped in favour of older ones.
-CheckpointData load_latest_checkpoint(LogDevice& device,
-                                      const std::vector<std::string>& names) {
+// The newest intact checkpoint. A torn one (a crash during its own write)
+// is passed over for an older one. A checkpoint that cannot be read is an
+// error, not a tear: WalManager::checkpoint deleted the older checkpoints
+// and the log segments the unreadable one covers, so falling back would
+// restore a database that never existed.
+Result<CheckpointData> load_latest_checkpoint(
+    LogDevice& device, const std::vector<std::string>& names) {
   CheckpointData best;
   for (auto it = names.rbegin(); it != names.rend(); ++it) {
     if (!segment_lsn(*it, kCkptPrefix)) continue;
     Result<std::string> data = device.read(*it);
-    if (!data.ok()) continue;
-    const std::string& buf = data.value();
-    if (buf.size() < sizeof(kCkptMagic) + 8) continue;
-    if (std::memcmp(buf.data(), kCkptMagic, sizeof(kCkptMagic)) != 0) continue;
-    Reader r{buf, sizeof(kCkptMagic), buf.size()};
-    std::uint32_t len = r.u32();
-    std::uint32_t crc = r.u32();
-    if (!r.ok || buf.size() - r.pos < len) continue;
-    if (crc32(buf.data() + r.pos, len) != crc) continue;
-    Reader body{buf, r.pos, r.pos + len};
-    Lsn body_lsn = body.u64();
-    Result<json::Value> doc = json::parse(buf.substr(body.pos, len - 8));
-    if (!doc.ok()) continue;
-    best.lsn = body_lsn;
-    best.snapshot = std::move(doc).take();
+    if (!data.ok()) return data.error();
+    Result<json::Value> snapshot = decode_checkpoint(data.value(), &best.lsn);
+    if (!snapshot.ok()) continue;
+    best.snapshot = std::move(snapshot).take();
     best.found = true;
     return best;
   }
@@ -834,19 +879,11 @@ Status apply_record(Database& db, const Record& record) {
   return Status::ok();  // kCommit / kEpoch: markers, no state
 }
 
-Result<json::Value> read_latest_checkpoint(LogDevice& device, Lsn* lsn) {
-  Result<std::vector<std::string>> names = device.list();
-  if (!names.ok()) return names.error();
-  CheckpointData ckpt = load_latest_checkpoint(device, names.value());
-  if (!ckpt.found) {
-    return Error(ErrorCode::kNotFound, "no valid checkpoint on device");
-  }
-  if (lsn) *lsn = ckpt.lsn;
-  return std::move(ckpt.snapshot);
-}
-
 Result<RecoveryInfo> recover(LogDevice& device, Database& db) {
-  return recover(device, db, restore_database);
+  return recover(device, db, [](Database& target, const json::Value& snapshot) {
+    return snapshot.is_null() ? Status::ok()
+                              : restore_database(target, snapshot);
+  });
 }
 
 Result<RecoveryInfo> recover(LogDevice& device, Database& db,
@@ -860,10 +897,12 @@ Result<RecoveryInfo> recover(LogDevice& device, Database& db,
   if (!names.ok()) return names.error();
 
   RecoveryInfo info;
-  CheckpointData ckpt = load_latest_checkpoint(device, names.value());
+  Result<CheckpointData> loaded = load_latest_checkpoint(device, names.value());
+  if (!loaded.ok()) return loaded.error();
+  const CheckpointData& ckpt = loaded.value();
+  Status restored = restore_snapshot(db, ckpt.snapshot);
+  if (!restored.is_ok()) return restored.error();
   if (ckpt.found) {
-    Status restored = restore_snapshot(db, ckpt.snapshot);
-    if (!restored.is_ok()) return restored.error();
     info.used_checkpoint = true;
     info.checkpoint_lsn = ckpt.lsn;
   }
@@ -1087,12 +1126,12 @@ Status WalManager::on_drop_table(const std::string& name) {
 }
 
 Status WalManager::on_create_index(const std::string& table,
-                                   const std::string& column) {
+                                   const std::string& spec) {
   std::lock_guard<std::mutex> guard(mutex_);
   Record record;
   record.type = RecordType::kCreateIndex;
   record.table = table;
-  record.column = column;
+  record.column = spec;
   record.lsn = next_lsn_++;
   Status appended = append_frames_locked(encode_record(record), record.lsn);
   if (!appended.is_ok()) {

@@ -54,7 +54,7 @@ enum class RecordType : std::uint8_t {
   kCommit = 4,       // count of DML records in the transaction
   kCreateTable = 5,  // table, schema JSON (dump format "columns" array)
   kDropTable = 6,    // table
-  kCreateIndex = 7,  // table, column
+  kCreateIndex = 7,  // table, index spec (db::index_spec_string)
   kEpoch = 8,        // replication leadership epoch (osprey::repl fencing)
 };
 
@@ -65,7 +65,7 @@ struct Record {
   std::string table;
   RowId row_id = 0;
   Row row;                  // kInsert / kUpdate post-image
-  std::string column;       // kCreateIndex
+  std::string column;       // kCreateIndex: the index spec
   std::string schema_json;  // kCreateTable
   std::uint32_t txn_records = 0;  // kCommit
   std::uint64_t epoch = 0;        // kEpoch
@@ -103,6 +103,11 @@ std::string wal_segment_header(Lsn first_lsn);
 /// and by replica bootstrap (the snapshot arrives over the wire there).
 std::string encode_checkpoint(Lsn lsn, const json::Value& snapshot);
 
+/// encode_checkpoint's inverse: the snapshot, with its covered LSN in
+/// `*lsn`. kInvalidArgument for a torn image (bad magic, length or CRC, or
+/// an unparseable body).
+Result<json::Value> decode_checkpoint(const std::string& image, Lsn* lsn);
+
 /// Redo-apply one record into `db`. DML converges idempotently (full
 /// post-images), DDL is idempotent by construction, and kCommit / kEpoch
 /// markers are no-ops. This is the single-record form of what recover()
@@ -110,12 +115,6 @@ std::string encode_checkpoint(Lsn lsn, const json::Value& snapshot);
 Status apply_record(Database& db, const Record& record);
 
 class LogDevice;
-
-/// The newest intact checkpoint snapshot on the device (torn ones are
-/// skipped in favour of older ones), with its covered LSN in `*lsn`.
-/// kNotFound when the device holds no valid checkpoint. Replica restart
-/// reads bootstrap metadata back through this.
-Result<json::Value> read_latest_checkpoint(LogDevice& device, Lsn* lsn);
 
 // ---------------------------------------------------------------------------
 // Log devices
@@ -177,6 +176,9 @@ class FileLogDevice : public LogDevice {
 /// machine reboot.
 struct SimDisk {
   std::map<std::string, std::string> segments;
+  /// Segments whose reads fail with the given code, as a bad sector
+  /// (kUnavailable) or a file removed under its reader (kNotFound) would.
+  std::map<std::string, ErrorCode> unreadable;
 };
 
 /// Simulated crashable log device. Appends land in a volatile write cache;
@@ -194,6 +196,11 @@ class SimLogDevice : public LogDevice {
   Status append(const std::string& segment, const std::string& data) override;
   Status sync(const std::string& segment) override;
   Result<std::string> read(const std::string& segment) override;
+  /// A slice without copying the whole segment: compaction reads runs one
+  /// block at a time.
+  Result<std::string> read_range(const std::string& segment,
+                                 std::uint64_t offset,
+                                 std::uint64_t length) override;
   Status truncate(const std::string& segment, std::uint64_t size) override;
   Status remove(const std::string& segment) override;
   Result<std::vector<std::string>> list() override;
@@ -212,6 +219,10 @@ class SimLogDevice : public LogDevice {
   std::uint64_t bytes_durable() const;
 
  private:
+  /// The segment's durable bytes and its unsynced tail (either may be
+  /// null), or the error a read of it fails with. Caller holds mutex_.
+  Result<std::pair<const std::string*, const std::string*>> parts_locked(
+      const std::string& segment);
   Status fail_if_dead_locked(const char* op);
 
   std::shared_ptr<SimDisk> disk_;
@@ -282,9 +293,13 @@ Result<RecoveryInfo> recover(LogDevice& device, Database& db);
 /// format ("osprey-db-manifest-v1", storage/manifest.h).
 using SnapshotRestorer = std::function<Status(Database&, const json::Value&)>;
 
-/// recover() with a custom checkpoint restorer. The restorer runs before
-/// tail replay, so it may register engine state (sorted runs, memtable
-/// images) that replayed records then read through.
+/// recover() with a custom checkpoint restorer. The restorer runs once,
+/// before tail replay: with the newest intact checkpoint's snapshot, or with
+/// a null value when the device holds none (replay then starts at the log's
+/// first record). It may register engine state (sorted runs, memtable
+/// images) that replayed records then read through. Only a torn checkpoint
+/// is passed over for an older one: a checkpoint segment that cannot be read
+/// fails recover() before the restorer runs, with nothing repaired.
 Result<RecoveryInfo> recover(LogDevice& device, Database& db,
                              const SnapshotRestorer& restore_snapshot);
 
@@ -313,7 +328,7 @@ class WalManager : public CommitObserver {
   Status on_create_table(const Table& table) override;
   Status on_drop_table(const std::string& name) override;
   Status on_create_index(const std::string& table,
-                         const std::string& column) override;
+                         const std::string& spec) override;
 
   /// Sync any unsynced appends (group-commit tail).
   Status flush();

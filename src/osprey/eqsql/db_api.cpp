@@ -216,35 +216,54 @@ Result<std::vector<TaskId>> EQSQL::pick_tasks_fair_locked(
     WorkType eq_type, int n,
     std::vector<std::pair<TenantId, std::size_t>>& claimed_by) {
   // Weighted-fair draw (DESIGN.md §5.13): instead of popping the global
-  // priority order, group the backlog per tenant (each group stays
-  // priority-ordered) and let the stride scheduler interleave the groups,
-  // so one tenant's huge campaign cannot starve the others.
-  auto queued = conn_.execute(
-      "SELECT eq_task_id, tenant FROM eq_output_queue WHERE eq_task_type = ? "
-      "ORDER BY eq_priority DESC, eq_task_id ASC",
-      {db::Value(std::int64_t{eq_type})});
-  if (!queued.ok()) return queued.error();
+  // priority order, take each backlogged tenant's head (its first n tasks
+  // in priority order, ties FIFO by task id) and let the stride scheduler
+  // interleave the heads, so one tenant's huge campaign cannot starve the
+  // others. No tenant can be picked more than n times, so n-task heads
+  // give the same interleave as the whole backlog would.
+  const db::Value type(std::int64_t{eq_type});
+  Result<std::vector<db::Value>> tenant_cells =
+      db_.table(kOutputQueueTable)
+          ->distinct_values({{"eq_task_type", type}}, "tenant");
+  if (!tenant_cells.ok()) return tenant_cells.error();
 
-  std::map<TenantId, std::vector<TaskId>> backlog;
-  for (const db::Row& row : queued.value().rows) {
-    backlog[row[1].is_null() ? TenantId{} : row[1].as_text()].push_back(
-        row[0].as_int());
+  // Per tenant, (priority, task id) pairs; the untenanted principal owns
+  // both NULL and '' cells, so its two heads are merged.
+  std::map<TenantId, std::vector<std::pair<Priority, TaskId>>> heads;
+  for (const db::Value& cell : tenant_cells.value()) {
+    std::vector<db::Value> params{type};
+    if (!cell.is_null()) params.push_back(cell);
+    params.emplace_back(std::int64_t{n});
+    auto head = conn_.execute(
+        std::string("SELECT eq_priority, eq_task_id FROM eq_output_queue "
+                    "WHERE eq_task_type = ? AND ") +
+            (cell.is_null() ? "tenant IS NULL" : "tenant = ?") +
+            " ORDER BY eq_priority DESC, eq_task_id ASC LIMIT ?",
+        params);
+    if (!head.ok()) return head.error();
+    auto& ids = heads[cell.is_null() ? TenantId{} : cell.as_text()];
+    for (const db::Row& row : head.value().rows) {
+      ids.emplace_back(static_cast<Priority>(row[0].as_int()), row[1].as_int());
+    }
+    std::sort(ids.begin(), ids.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    });
   }
   std::vector<TenantId> candidates;
-  candidates.reserve(backlog.size());
-  for (const auto& [t, ids] : backlog) candidates.push_back(t);
+  candidates.reserve(heads.size());
+  for (const auto& [t, ids] : heads) candidates.push_back(t);
 
   std::vector<TaskId> picked;
   picked.reserve(static_cast<std::size_t>(n));
   std::map<TenantId, std::size_t> counts;
   while (picked.size() < static_cast<std::size_t>(n) && !candidates.empty()) {
     const TenantId next = tenants_->pick_next(candidates);
-    std::vector<TaskId>& ids = backlog[next];
-    picked.push_back(ids.front());
-    ids.erase(ids.begin());
+    const auto& ids = heads[next];
+    std::size_t& taken = counts[next];
+    picked.push_back(ids[taken].second);
+    ++taken;
     tenants_->charge(next, 1);
-    ++counts[next];
-    if (ids.empty()) {
+    if (taken == ids.size()) {
       candidates.erase(std::find(candidates.begin(), candidates.end(), next));
     }
   }

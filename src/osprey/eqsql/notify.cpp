@@ -186,8 +186,8 @@ Status Notifier::on_drop_table(const std::string& name) {
 }
 
 Status Notifier::on_create_index(const std::string& table,
-                                 const std::string& column) {
-  if (inner_ != nullptr) return inner_->on_create_index(table, column);
+                                 const std::string& spec) {
+  if (inner_ != nullptr) return inner_->on_create_index(table, spec);
   return Status::ok();
 }
 

@@ -141,7 +141,7 @@ class Notifier : public db::CommitObserver {
   Status on_create_table(const db::Table& table) override;
   Status on_drop_table(const std::string& name) override;
   Status on_create_index(const std::string& table,
-                         const std::string& column) override;
+                         const std::string& spec) override;
 
  private:
   struct WorkChannel {

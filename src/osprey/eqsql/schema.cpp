@@ -4,8 +4,32 @@
 
 namespace osprey::eqsql {
 
+namespace {
+
+// The output queue's claim indexes. The first serves the plain claim (the
+// n highest priorities of a type, ties FIFO by task id: the first n
+// entries of one seek); the second serves the weighted-fair claim (the
+// same order per tenant: each tenant's head is one seek).
+const std::array<const char*, 2> kOutputQueueIndexes = {
+    "CREATE INDEX ON eq_output_queue "
+    "(eq_task_type, eq_priority DESC, eq_task_id)",
+    "CREATE INDEX ON eq_output_queue "
+    "(eq_task_type, tenant, eq_priority DESC, eq_task_id)",
+};
+
+Status run_all(db::sql::Connection& conn, const char* const* statements,
+               std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    auto r = conn.execute(statements[i]);
+    if (!r.ok()) return r.error();
+  }
+  return Status::ok();
+}
+
+}  // namespace
+
 Status create_schema(db::sql::Connection& conn) {
-  static const std::array<const char*, 14> kStatements = {
+  static const std::array<const char*, 12> kStatements = {
       // Task data: identifier, work type, status, priority, payloads,
       // consuming pool, the creation / start / stop timestamps (§IV-C), and
       // the owning tenant (DESIGN.md §5.13 — NULL for untenanted submits).
@@ -28,14 +52,12 @@ Status create_schema(db::sql::Connection& conn) {
 
       // Output queue: tasks are popped for execution ordered by priority,
       // drawn across tenants by the weighted-fair scheduler when a
-      // TenantRegistry is attached.
+      // TenantRegistry is attached. Its indexes are kOutputQueueIndexes.
       "CREATE TABLE eq_output_queue ("
       "  eq_task_id INTEGER PRIMARY KEY,"
       "  eq_task_type INTEGER NOT NULL,"
       "  eq_priority INTEGER NOT NULL,"
       "  tenant TEXT)",
-      "CREATE INDEX ON eq_output_queue (eq_task_type)",
-      "CREATE INDEX ON eq_output_queue (eq_priority)",
 
       // Input queue: completed tasks whose results await pickup.
       "CREATE TABLE eq_input_queue ("
@@ -59,11 +81,14 @@ Status create_schema(db::sql::Connection& conn) {
       "CREATE TABLE eq_meta (meta_key TEXT PRIMARY KEY, meta_value INTEGER)",
       "INSERT INTO eq_meta VALUES ('next_task_id', 1)",
   };
-  for (const char* sql : kStatements) {
-    auto r = conn.execute(sql);
-    if (!r.ok()) return r.error();
-  }
-  return Status::ok();
+  Status created = run_all(conn, kStatements.data(), kStatements.size());
+  if (!created.is_ok()) return created;
+  return upgrade_schema(conn);
+}
+
+Status upgrade_schema(db::sql::Connection& conn) {
+  // CREATE INDEX is idempotent: an index that exists logs nothing.
+  return run_all(conn, kOutputQueueIndexes.data(), kOutputQueueIndexes.size());
 }
 
 bool schema_exists(const db::Database& db) {

@@ -24,6 +24,12 @@ inline constexpr const char* kMetaTable = "eq_meta";
 /// Fails with kConflict when any table already exists.
 Status create_schema(db::sql::Connection& conn);
 
+/// Add the indexes the current schema has and a database created by an
+/// older one lacks: the composite output-queue claim indexes. Idempotent; on
+/// a database with a WAL attached each creation is logged DDL. Services run
+/// it when they open an existing database as its writer.
+Status upgrade_schema(db::sql::Connection& conn);
+
 /// True when all five tables exist.
 bool schema_exists(const db::Database& db);
 

@@ -155,6 +155,11 @@ Status EmewsService::restore(const json::Value& snapshot) {
   }
   schema_created_ = true;
   running_ = true;
+  {
+    db::sql::Connection conn(db_);
+    Status upgraded = upgrade_schema(conn);
+    if (!upgraded.is_ok()) return upgraded;
+  }
   // The snapshot may hold tasks that were running on the old resource; their
   // pools are gone, so put them back in the output queue for the new one.
   EQSQL eq(db_, clock_);
@@ -250,6 +255,13 @@ Result<db::wal::RecoveryInfo> EmewsService::recover_from_wal(
   if (storage_) storage_->install(*wal_);
   schema_created_ = true;
   running_ = true;
+  // A log written by an older schema gains its missing indexes now, as
+  // logged DDL, so the next recovery finds them in the log.
+  {
+    db::sql::Connection conn(db_);
+    Status upgraded = upgrade_schema(conn);
+    if (!upgraded.is_ok()) return upgraded.error();
+  }
   // Requeue after the log is attached: the lease release is itself a
   // committed, durable transaction, so a crash during recovery replays it.
   EQSQL eq(db_, clock_);

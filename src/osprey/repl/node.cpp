@@ -172,6 +172,13 @@ Status ReplicaNode::promote(Epoch new_epoch, wal::WalOptions options) {
   }
   wal_->attach(*db_);
   Result<wal::Lsn> logged = wal_->log_epoch(new_epoch);
+  if (logged.ok()) {
+    // A log an older leader wrote gains the current schema's indexes as
+    // logged DDL, which ships to the followers like any other record.
+    db::sql::Connection conn(*db_);
+    Status upgraded = eqsql::upgrade_schema(conn);
+    if (!upgraded.is_ok()) logged = upgraded.error();
+  }
   if (!logged.ok()) {
     wal_->detach();
     wal_.reset();
@@ -179,7 +186,7 @@ Status ReplicaNode::promote(Epoch new_epoch, wal::WalOptions options) {
   }
   role_ = Role::kLeader;
   epoch_ = new_epoch;
-  applied_lsn_ = logged.value();
+  applied_lsn_ = wal_->next_lsn() - 1;
   OSPREY_LOG(kWarn, "repl") << "follower promoted to leader"
                             << log_field("node", id_)
                             << log_field("epoch", new_epoch)
@@ -207,6 +214,7 @@ Result<wal::RecoveryInfo> ReplicaNode::recover_from_disk() {
   Epoch ckpt_epoch = 0;
   Result<wal::RecoveryInfo> info = wal::recover(
       *device_, *db_, [&](db::Database& db, const json::Value& snapshot) {
+        if (snapshot.is_null()) return Status::ok();
         ckpt_epoch = static_cast<Epoch>(snapshot["repl_epoch"].get_int(0));
         return db::restore_database(db, snapshot);
       });

@@ -15,27 +15,61 @@ std::optional<std::uint32_t> pick_compaction_level(
   return std::nullopt;
 }
 
+Status merge_streams(std::vector<MergeInput> inputs,
+                     const std::function<bool(db::RowId)>& is_live,
+                     const std::function<Status(const RunEntry&)>& emit) {
+  std::vector<std::optional<RunEntry>> heads(inputs.size());
+  auto advance = [&](std::size_t i) -> Status {
+    Result<std::optional<RunEntry>> next = inputs[i].next();
+    if (!next.ok()) return next.error();
+    heads[i] = std::move(next).take();
+    return Status::ok();
+  };
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    if (Status s = advance(i); !s.is_ok()) return s;
+  }
+  while (true) {
+    // The lowest id any input holds, in its newest version.
+    std::optional<std::size_t> newest;
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+      if (!heads[i]) continue;
+      if (!newest || heads[i]->id < heads[*newest]->id ||
+          (heads[i]->id == heads[*newest]->id &&
+           inputs[i].seq > inputs[*newest].seq)) {
+        newest = i;
+      }
+    }
+    if (!newest) return Status::ok();
+    const db::RowId id = heads[*newest]->id;
+    if (is_live(id)) {
+      if (Status s = emit(*heads[*newest]); !s.is_ok()) return s;
+    }
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+      if (!heads[i] || heads[i]->id != id) continue;
+      if (Status s = advance(i); !s.is_ok()) return s;
+    }
+  }
+}
+
 std::vector<RunEntry> merge_runs(
     std::vector<CompactionInput> inputs,
     const std::function<bool(db::RowId)>& is_live) {
-  // Apply inputs oldest-first so a newer run's version overwrites an older
-  // one's; the map keeps the result sorted by id for the output run.
-  std::sort(inputs.begin(), inputs.end(),
-            [](const CompactionInput& a, const CompactionInput& b) {
-              return a.seq < b.seq;
-            });
-  std::map<db::RowId, db::Row> merged;
+  std::vector<MergeInput> streams;
   for (CompactionInput& input : inputs) {
-    for (RunEntry& e : input.entries) {
-      merged[e.id] = std::move(e.row);
-    }
+    streams.push_back(
+        {input.seq,
+         [entries = std::move(input.entries),
+          pos = std::size_t{0}]() mutable -> Result<std::optional<RunEntry>> {
+           if (pos == entries.size()) return std::optional<RunEntry>{};
+           return std::optional<RunEntry>{std::move(entries[pos++])};
+         }});
   }
   std::vector<RunEntry> out;
-  out.reserve(merged.size());
-  for (auto& [id, row] : merged) {
-    if (!is_live(id)) continue;
-    out.push_back(RunEntry{id, std::move(row)});
-  }
+  (void)merge_streams(std::move(streams), is_live,
+                      [&out](const RunEntry& e) {
+                        out.push_back(e);
+                        return Status::ok();
+                      });
   return out;
 }
 

@@ -34,9 +34,22 @@ std::optional<std::uint32_t> pick_compaction_level(
     const std::map<std::uint32_t, std::size_t>& level_counts,
     std::uint32_t fanout);
 
+/// One input of a streaming merge: `next` yields the run's entries in
+/// ascending id order, then nullopt.
+struct MergeInput {
+  std::uint64_t seq = 0;
+  std::function<Result<std::optional<RunEntry>>()> next;
+};
+
 /// Merge inputs newest-wins by seq, dropping versions whose id fails
-/// `is_live`. Output is ascending by id — ready for encode_run. May be
-/// empty (every input entry dead), in which case no output run is written.
+/// `is_live`, and hand the survivors to `emit` in ascending id order. Holds
+/// one entry per input, so the engine compacts a level without loading it.
+Status merge_streams(std::vector<MergeInput> inputs,
+                     const std::function<bool(db::RowId)>& is_live,
+                     const std::function<Status(const RunEntry&)>& emit);
+
+/// merge_streams over decoded inputs, collecting the output (ascending by
+/// id, ready for encode_run). May be empty (every input entry dead).
 std::vector<RunEntry> merge_runs(std::vector<CompactionInput> inputs,
                                  const std::function<bool(db::RowId)>& is_live);
 

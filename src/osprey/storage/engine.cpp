@@ -192,29 +192,36 @@ Result<db::wal::RecoveryInfo> StorageEngine::recover(db::Database& db) {
     Status attached = attach(db);
     if (!attached.is_ok()) return attached.error();
   }
-  // Orphan GC before replay: any run the newest durable checkpoint does not
-  // reference — a torn flush, an un-checkpointed compaction output, or a
-  // leftover the previous process never deleted — is dead weight, because
-  // everything it held is re-derivable from the manifest plus the WAL tail.
-  std::set<std::string> referenced;
-  db::wal::Lsn ckpt_lsn = 0;
-  Result<json::Value> ckpt =
-      db::wal::read_latest_checkpoint(device_, &ckpt_lsn);
-  if (ckpt.ok() && is_manifest(ckpt.value())) {
-    referenced = manifest_run_segments(ckpt.value());
-  }
-  Result<std::vector<std::string>> names = device_.list();
-  if (!names.ok()) return names.error();
-  for (const std::string& name : names.value()) {
-    if (has_prefix(name, kRunPrefix) && !referenced.count(name)) {
-      Status removed = device_.remove(name);
-      if (!removed.is_ok()) return removed.error();
-    }
-  }
+  // recover() reads the checkpoint once and hands it (null when there is
+  // none) to this restorer. Once it is restored, and before the tail
+  // replays, every run it does not reference — a torn flush, an
+  // un-checkpointed compaction output, or a leftover the previous process
+  // never deleted — is dead weight, because everything it held is
+  // re-derivable from the manifest plus the WAL tail. The GC must precede
+  // replay: a replayed flush may reuse an orphan's segment name. A
+  // checkpoint that cannot be read fails recover() before this runs, so
+  // the GC never deletes runs a manifest still needs.
   return db::wal::recover(
-      device_, db, [this](db::Database& target, const json::Value& snapshot) {
-        if (is_manifest(snapshot)) return restore_manifest(target, snapshot);
-        return db::restore_database(target, snapshot);
+      device_, db,
+      [this](db::Database& target, const json::Value& snapshot) -> Status {
+        Status restored = Status::ok();
+        if (is_manifest(snapshot)) {
+          restored = restore_manifest(target, snapshot);
+        } else if (!snapshot.is_null()) {
+          restored = db::restore_database(target, snapshot);
+        }
+        if (!restored.is_ok()) return restored;
+        const std::set<std::string> referenced =
+            manifest_run_segments(snapshot);
+        Result<std::vector<std::string>> names = device_.list();
+        if (!names.ok()) return names.error();
+        for (const std::string& name : names.value()) {
+          if (has_prefix(name, kRunPrefix) && !referenced.count(name)) {
+            Status removed = device_.remove(name);
+            if (!removed.is_ok()) return removed;
+          }
+        }
+        return Status::ok();
       });
 }
 
@@ -337,42 +344,49 @@ Status StorageEngine::compact_locked(LsmStore& store) {
                     "storage: compaction fault injected");
     }
 
+    // Stream the merge: each input is read one block at a time and each
+    // output block is appended as soon as it is cut, so a compaction holds
+    // a block per input instead of its whole level (which, decoded, used to
+    // set the process's peak memory).
     std::vector<std::shared_ptr<RunMeta>> inputs;
-    std::vector<CompactionInput> decoded;
+    std::vector<MergeInput> streams;
     std::uint64_t out_seq = 0;
     for (const auto& run : store.runs_) {
       if (run->level != *level) continue;
-      Result<std::vector<RunEntry>> entries = read_run_locked(*run);
-      if (!entries.ok()) return entries.error();
       out_seq = std::max(out_seq, run->seq);
-      decoded.push_back(CompactionInput{run->seq, std::move(entries).take()});
       inputs.push_back(run);
+      streams.push_back({run->seq, block_reader_locked(*run)});
     }
-    std::vector<RunEntry> merged = merge_runs(
-        std::move(decoded),
-        [&store](db::RowId id) { return store.live_.count(id) > 0; });
-
-    std::shared_ptr<RunMeta> output;
-    if (!merged.empty()) {
-      output = std::make_shared<RunMeta>();
-      std::string image = encode_run(merged, options_.block_bytes,
-                                     options_.bloom_bits_per_key, output.get());
-      // The output's seq is the newest input's: the merged data is exactly
-      // as new as that run, and must stay *older* than any level-0 run
-      // flushed since.
-      output->seq = out_seq;
-      output->level = *level + 1;
-      output->segment =
-          run_segment_name(store.table_, output->seq, output->level);
-      output->bytes = image.size();
-      device_.remove(output->segment);
-      cache_.erase_segment(output->segment);
-      Status appended = device_.append(output->segment, image);
-      if (appended.is_ok()) appended = device_.sync(output->segment);
-      if (!appended.is_ok()) return appended;  // inputs stay live
+    auto output = std::make_shared<RunMeta>();
+    // The output's seq is the newest input's: the merged data is exactly as
+    // new as that run, and must stay *older* than any level-0 run flushed
+    // since.
+    output->seq = out_seq;
+    output->level = *level + 1;
+    output->segment =
+        run_segment_name(store.table_, output->seq, output->level);
+    device_.remove(output->segment);
+    cache_.erase_segment(output->segment);
+    RunWriter writer(options_.block_bytes, [&](const std::string& bytes) {
+      return device_.append(output->segment, bytes);
+    });
+    Status merged = merge_streams(
+        std::move(streams),
+        [&store](db::RowId id) { return store.live_.count(id) > 0; },
+        [&writer](const RunEntry& e) { return writer.add(e); });
+    // On failure the inputs stay live; a partial output is an orphan that
+    // the next attempt or recovery GC removes.
+    if (!merged.is_ok()) return merged;
+    if (writer.entries() == 0) {
+      output.reset();  // every input entry dead: no output run
+    } else {
+      Status written =
+          writer.finish(options_.bloom_bits_per_key, output.get());
+      if (written.is_ok()) written = device_.sync(output->segment);
+      if (!written.is_ok()) return written;
       if (obs::enabled()) {
         storage_obs().compaction_bytes.observe(
-            static_cast<double>(image.size()));
+            static_cast<double>(output->bytes));
       }
     }
 
@@ -405,25 +419,30 @@ Status StorageEngine::compact_locked(LsmStore& store) {
   }
 }
 
-Result<std::vector<RunEntry>> StorageEngine::read_run_locked(
-    const RunMeta& run) {
-  // Whole-run read for compaction: one device read, bypassing the block
-  // cache (compaction inputs are about to disappear).
-  Result<std::string> image = device_.read(run.segment);
-  if (!image.ok()) return image.error();
-  std::vector<RunEntry> entries;
-  entries.reserve(run.entries);
-  for (const BlockIndexEntry& block : run.blocks) {
-    if (block.offset + block.length > image.value().size()) {
-      return Error(ErrorCode::kInvalidArgument,
-                   "storage: run '" + run.segment + "' shorter than its index");
+std::function<Result<std::optional<RunEntry>>()>
+StorageEngine::block_reader_locked(const RunMeta& run) {
+  // Compaction input: one device read per block, bypassing the block cache
+  // (compaction inputs are about to disappear).
+  return [this, &run, ordinal = std::size_t{0}, block = std::vector<RunEntry>{},
+          pos = std::size_t{0}]() mutable -> Result<std::optional<RunEntry>> {
+    while (pos == block.size()) {
+      if (ordinal == run.blocks.size()) return std::optional<RunEntry>{};
+      const BlockIndexEntry& index = run.blocks[ordinal++];
+      Result<std::string> frame =
+          device_.read_range(run.segment, index.offset, index.length);
+      if (!frame.ok()) return frame.error();
+      if (frame.value().size() < index.length) {
+        return Error(ErrorCode::kInvalidArgument,
+                     "storage: run '" + run.segment +
+                         "' shorter than its index");
+      }
+      Result<std::vector<RunEntry>> decoded = decode_block(frame.value());
+      if (!decoded.ok()) return decoded.error();
+      block = std::move(decoded).take();
+      pos = 0;
     }
-    Result<std::vector<RunEntry>> decoded = decode_block(
-        image.value().substr(block.offset, block.length));
-    if (!decoded.ok()) return decoded.error();
-    for (RunEntry& e : decoded.value()) entries.push_back(std::move(e));
-  }
-  return entries;
+    return std::optional<RunEntry>{std::move(block[pos++])};
+  };
 }
 
 std::optional<db::Row> StorageEngine::find_in_runs_locked(

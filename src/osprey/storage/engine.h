@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -162,9 +163,11 @@ class StorageEngine {
   /// registrations from a manifest into the empty attached `db`.
   Status restore_manifest(db::Database& db, const json::Value& manifest);
 
-  /// Full crash recovery: GC orphaned runs the latest checkpoint does not
-  /// reference, then wal::recover with a restorer that understands both the
-  /// manifest and plain-snapshot formats. Implies attach(db).
+  /// Full crash recovery: wal::recover with a restorer that understands
+  /// both the manifest and plain-snapshot formats and, once the checkpoint
+  /// is restored and before the tail replays, GCs the runs it does not
+  /// reference. A checkpoint that cannot be read fails the recovery with
+  /// every segment untouched. Implies attach(db).
   Result<db::wal::RecoveryInfo> recover(db::Database& db);
 
   /// Post-checkpoint hook body: delete zombie runs, pin manifest runs.
@@ -182,7 +185,9 @@ class StorageEngine {
   Status rotate_and_flush_locked(LsmStore& store);
   Status flush_immutable_locked(LsmStore& store);
   Status compact_locked(LsmStore& store);
-  Result<std::vector<RunEntry>> read_run_locked(const RunMeta& run);
+  /// A compaction input stream over `run`'s entries, one block in memory.
+  std::function<Result<std::optional<RunEntry>>()> block_reader_locked(
+      const RunMeta& run);
   std::optional<db::Row> find_in_runs_locked(const LsmStore& store,
                                              db::RowId id);
   BlockCache::Block read_block_locked(const RunMeta& run, std::size_t ordinal);

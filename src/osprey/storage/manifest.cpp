@@ -30,6 +30,27 @@ std::set<std::string> manifest_run_segments(const json::Value& manifest) {
   return segments;
 }
 
+namespace {
+
+// The column types of an index spec's key cells, in key order.
+Result<std::vector<db::ColumnType>> key_types(const db::Schema& schema,
+                                              const std::string& spec) {
+  Result<std::vector<db::OrderTerm>> terms = db::parse_index_spec(spec);
+  if (!terms.ok()) return terms.error();
+  std::vector<db::ColumnType> types;
+  for (const db::OrderTerm& term : terms.value()) {
+    const int col = schema.index_of(term.column);
+    if (col < 0) {
+      return Error(ErrorCode::kInvalidArgument,
+                   "manifest spilled_index spec '" + spec + "'");
+    }
+    types.push_back(schema.column(static_cast<std::size_t>(col)).type);
+  }
+  return types;
+}
+
+}  // namespace
+
 // --- build ------------------------------------------------------------------
 
 json::Value StorageEngine::build_manifest(db::Database& db) {
@@ -53,8 +74,8 @@ json::Value StorageEngine::build_manifest(db::Database& db) {
     json::Object tj;
     tj["columns"] = db::schema_to_json(table->schema());
     json::Array indexes;
-    for (const std::string& column : table->indexed_columns()) {
-      indexes.emplace_back(column);
+    for (const std::string& spec : table->index_specs()) {
+      indexes.emplace_back(spec);
     }
     tj["indexes"] = json::Value(std::move(indexes));
     tj["next_row_id"] =
@@ -89,19 +110,28 @@ json::Value StorageEngine::build_manifest(db::Database& db) {
 
     // Index entries of spilled rows: restore re-indexes memtable rows from
     // their cells, but spilled rows must not be read back just to index
-    // them, so their (value, id) pairs ride in the manifest.
+    // them, so their (key, id) pairs ride in the manifest. A one-column key
+    // is its cell; a composite key is the array of its cells.
     json::Object spilled_index;
-    for (const std::string& column : table->indexed_columns()) {
+    for (const std::string& spec : table->index_specs()) {
       json::Array pairs;
       table->for_each_index_entry(
-          column, [&](const db::Value& value, db::RowId id) {
+          spec, [&](const std::vector<db::Value>& values, db::RowId id) {
             if (resident(id)) return;
             json::Array pair;
-            pair.push_back(db::value_to_json(value));
+            if (values.size() == 1) {
+              pair.push_back(db::value_to_json(values.front()));
+            } else {
+              json::Array tuple;
+              for (const db::Value& v : values) {
+                tuple.push_back(db::value_to_json(v));
+              }
+              pair.emplace_back(std::move(tuple));
+            }
             pair.emplace_back(static_cast<std::int64_t>(id));
             pairs.emplace_back(std::move(pair));
           });
-      spilled_index[column] = json::Value(std::move(pairs));
+      spilled_index[spec] = json::Value(std::move(pairs));
     }
     tj["spilled_index"] = json::Value(std::move(spilled_index));
 
@@ -191,23 +221,32 @@ Status StorageEngine::restore_manifest(db::Database& db,
     }
     const json::Value& spilled_index = tj["spilled_index"];
     if (spilled_index.is_object()) {
-      for (const auto& [column, pairs] : spilled_index.as_object()) {
-        int col = table->schema().index_of(column);
-        if (col < 0 || !pairs.is_array()) {
+      for (const auto& [spec, pairs] : spilled_index.as_object()) {
+        Result<std::vector<db::ColumnType>> key =
+            key_types(table->schema(), spec);
+        if (!key.ok()) return key.error();
+        const std::vector<db::ColumnType>& types = key.value();
+        if (!pairs.is_array()) {
           return Status(ErrorCode::kInvalidArgument,
-                        "manifest spilled_index column '" + column + "'");
+                        "manifest spilled_index spec '" + spec + "'");
         }
-        db::ColumnType type =
-            table->schema().column(static_cast<std::size_t>(col)).type;
         for (const json::Value& pair : pairs.as_array()) {
-          if (!pair.is_array() || pair.size() != 2 || !pair[1].is_number()) {
+          if (!pair.is_array() || pair.size() != 2 || !pair[1].is_number() ||
+              (types.size() > 1 &&
+               (!pair[0].is_array() || pair[0].size() != types.size()))) {
             return Status(ErrorCode::kInvalidArgument,
                           "manifest spilled_index entry");
           }
-          Result<db::Value> value = db::json_to_value(pair[0], type);
-          if (!value.ok()) return value.error();
+          std::vector<db::Value> values;
+          for (std::size_t c = 0; c < types.size(); ++c) {
+            Result<db::Value> value = db::json_to_value(
+                types.size() == 1 ? pair[0] : pair[0][c], types[c]);
+            if (!value.ok()) return value.error();
+            values.push_back(std::move(value).take());
+          }
           Status s = table->restore_index_entry(
-              column, value.value(), static_cast<db::RowId>(pair[1].as_int()));
+              spec, std::move(values),
+              static_cast<db::RowId>(pair[1].as_int()));
           if (!s.is_ok()) return s;
         }
       }

@@ -19,7 +19,8 @@
 //         "next_row_id": n, "next_run_seq": n,
 //         "mem_row_ids": [id...], "mem_rows": [[cell...]...],
 //         "spilled_ids": [id...],
-//         "spilled_index": { <column>: [[value, id]...] },
+//         "spilled_index": { <index spec>: [[key, id]...] },  // key: the
+//                            // cell, or for a composite index [cell...]
 //         "runs": [<run_meta_to_json>...] } } }
 //
 // Build and restore are StorageEngine methods (engine.h) — they walk engine

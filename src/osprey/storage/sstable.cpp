@@ -105,48 +105,64 @@ std::string run_segment_name(const std::string& table, std::uint64_t seq,
 std::string encode_run(const std::vector<RunEntry>& entries,
                        std::uint64_t block_bytes,
                        std::uint32_t bloom_bits_per_key, RunMeta* meta) {
-  std::string out(kRunMagic, sizeof(kRunMagic));
-  meta->blocks.clear();
-  meta->entries = entries.size();
-  meta->min_id = entries.empty() ? 0 : entries.front().id;
-  meta->max_id = entries.empty() ? 0 : entries.back().id;
-  meta->bloom = BloomFilter(entries.size(), bloom_bits_per_key);
-  for (const RunEntry& e : entries) meta->bloom.add(e.id);
-
-  std::size_t i = 0;
-  while (i < entries.size()) {
-    std::string payload;
-    std::size_t count_pos = payload.size();
-    put_u32(payload, 0);  // entry_count backpatched below
-    std::uint32_t count = 0;
-    const db::RowId first_id = entries[i].id;
-    while (i < entries.size() &&
-           (count == 0 || payload.size() < block_bytes)) {
-      const RunEntry& e = entries[i];
-      put_u64(payload, e.id);
-      put_u16(payload, static_cast<std::uint16_t>(e.row.size()));
-      for (const db::Value& cell : e.row) put_cell(payload, cell);
-      ++count;
-      ++i;
-    }
-    payload[count_pos + 0] = static_cast<char>(count & 0xff);
-    payload[count_pos + 1] = static_cast<char>((count >> 8) & 0xff);
-    payload[count_pos + 2] = static_cast<char>((count >> 16) & 0xff);
-    payload[count_pos + 3] = static_cast<char>((count >> 24) & 0xff);
-
-    BlockIndexEntry idx;
-    idx.first_id = first_id;
-    idx.offset = out.size();
-    idx.length = static_cast<std::uint32_t>(8 + payload.size());
-    std::string frame;
-    put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-    put_u32(frame, db::wal::crc32(payload.data(), payload.size()));
-    out += frame;
-    out += payload;
-    meta->blocks.push_back(idx);
-  }
-  meta->bytes = out.size();
+  std::string out;
+  RunWriter writer(block_bytes, [&out](const std::string& bytes) {
+    out += bytes;
+    return Status::ok();
+  });
+  for (const RunEntry& e : entries) (void)writer.add(e);
+  (void)writer.finish(bloom_bits_per_key, meta);
   return out;
+}
+
+RunWriter::RunWriter(std::uint64_t block_bytes, Sink sink)
+    : block_bytes_(block_bytes),
+      sink_(std::move(sink)),
+      pending_(kRunMagic, sizeof(kRunMagic)) {}
+
+Status RunWriter::add(const RunEntry& e) {
+  if (count_ == 0) {
+    put_u32(payload_, 0);  // entry_count, backpatched by cut()
+    blocks_.push_back({e.id, offset_ + pending_.size(), 0});
+  }
+  put_u64(payload_, e.id);
+  put_u16(payload_, static_cast<std::uint16_t>(e.row.size()));
+  for (const db::Value& cell : e.row) put_cell(payload_, cell);
+  ids_.push_back(e.id);
+  ++count_;
+  return payload_.size() < block_bytes_ ? Status::ok() : cut();
+}
+
+Status RunWriter::cut() {
+  if (count_ > 0) {
+    for (int b = 0; b < 4; ++b) {
+      payload_[static_cast<std::size_t>(b)] =
+          static_cast<char>((count_ >> (8 * b)) & 0xff);
+    }
+    blocks_.back().length = static_cast<std::uint32_t>(8 + payload_.size());
+    put_u32(pending_, static_cast<std::uint32_t>(payload_.size()));
+    put_u32(pending_, db::wal::crc32(payload_.data(), payload_.size()));
+    pending_ += payload_;
+    payload_.clear();
+    count_ = 0;
+  }
+  if (pending_.empty()) return Status::ok();
+  offset_ += pending_.size();
+  Status sunk = sink_(pending_);
+  pending_.clear();
+  return sunk;
+}
+
+Status RunWriter::finish(std::uint32_t bloom_bits_per_key, RunMeta* meta) {
+  Status cut_last = cut();
+  meta->blocks = std::move(blocks_);
+  meta->entries = ids_.size();
+  meta->min_id = ids_.empty() ? 0 : ids_.front();
+  meta->max_id = ids_.empty() ? 0 : ids_.back();
+  meta->bloom = BloomFilter(ids_.size(), bloom_bits_per_key);
+  for (db::RowId id : ids_) meta->bloom.add(id);
+  meta->bytes = offset_;
+  return cut_last;
 }
 
 Result<std::vector<RunEntry>> decode_block(const std::string& frame) {

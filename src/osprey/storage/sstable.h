@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,33 @@ std::string run_segment_name(const std::string& table, std::uint64_t seq,
 std::string encode_run(const std::vector<RunEntry>& entries,
                        std::uint64_t block_bytes,
                        std::uint32_t bloom_bits_per_key, RunMeta* meta);
+
+/// Writes a run block by block: add() entries in ascending id order, and
+/// each block goes to `sink` (the magic with the first) as soon as it is
+/// cut, so the writer holds one block and the ids, never the run. The bytes
+/// are exactly encode_run's, which is a RunWriter into one string.
+class RunWriter {
+ public:
+  using Sink = std::function<Status(const std::string& bytes)>;
+  RunWriter(std::uint64_t block_bytes, Sink sink);
+
+  Status add(const RunEntry& entry);
+  std::uint64_t entries() const { return ids_.size(); }
+  /// Cut the last block and fill `*meta` (blocks, bloom, counts, bytes).
+  Status finish(std::uint32_t bloom_bits_per_key, RunMeta* meta);
+
+ private:
+  Status cut();
+
+  std::uint64_t block_bytes_;
+  Sink sink_;
+  std::string pending_;  // bytes not yet handed to the sink
+  std::string payload_;  // the open block
+  std::uint32_t count_ = 0;
+  std::uint64_t offset_ = 0;  // run bytes before pending_
+  std::vector<db::RowId> ids_;
+  std::vector<BlockIndexEntry> blocks_;
+};
 
 /// Decode one CRC-framed block (the bytes a BlockIndexEntry points at).
 /// kInvalidArgument on a CRC mismatch or malformed payload.

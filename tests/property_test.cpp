@@ -406,8 +406,140 @@ TEST_P(SqlEquivalenceTest, PriorityPopMatchesProgrammaticSelect) {
   }
 }
 
+TEST_P(SqlEquivalenceTest, CompositeIndexWalkMatchesSortPath) {
+  // Two copies of one table: `walked` carries composite indexes, `sorted`
+  // only its primary key, so its queries take the sort path (or the key's
+  // own seek). Every query must return the same ids in the same order from
+  // both: NULL and text cells, mixed ASC/DESC, equality prefixes (=, IS
+  // NULL, IN), conjuncts the seek does not answer, with and without LIMIT.
+  db::Database db;
+  db::sql::Connection conn(db);
+  for (const char* table : {"walked", "sorted"}) {
+    ASSERT_TRUE(conn.execute(std::string("CREATE TABLE ") + table +
+                             " (id INTEGER PRIMARY KEY, a INTEGER, b TEXT, "
+                             "c REAL, d INTEGER NOT NULL)")
+                    .ok());
+  }
+  const std::vector<std::vector<db::OrderTerm>> specs = {
+      {{"a", true}, {"b", false}, {"c", true}},
+      {{"b", true}, {"c", false}},
+      {{"d", false}, {"a", true}},
+      {{"c", true}},
+  };
+  for (const auto& spec : specs) {
+    ASSERT_TRUE(db.table("walked")->create_index(db::index_spec_string(spec))
+                    .is_ok());
+  }
+  Rng rng(GetParam());
+  const std::vector<std::string> columns = {"a", "b", "c", "d"};
+  auto cell = [&](const std::string& column) -> db::Value {
+    if (column != "d" && rng.uniform_int(0, 5) == 0) return db::Value();
+    if (column == "a") return db::Value(rng.uniform_int(0, 3));
+    if (column == "b") {
+      return db::Value(std::string(1, static_cast<char>('p' + rng.uniform_int(0, 2))));
+    }
+    if (column == "c") {
+      // Ints and reals mix in a REAL column: 2 and 2.0 tie.
+      const std::int64_t pick = rng.uniform_int(0, 3);
+      return pick == 0 ? db::Value(std::int64_t{2})
+                       : db::Value(0.5 * static_cast<double>(pick + 2));
+    }
+    return db::Value(rng.uniform_int(0, 4));
+  };
+  auto both = [&](const std::string& sql_tail,
+                  const std::vector<db::Value>& params) {
+    for (const char* table : {"walked", "sorted"}) {
+      ASSERT_TRUE(conn.execute(sql_tail.substr(0, sql_tail.find('#')) + table +
+                                   sql_tail.substr(sql_tail.find('#') + 1),
+                               params)
+                      .ok());
+    }
+  };
+  for (std::int64_t id = 1; id <= 300; ++id) {
+    both("INSERT INTO # VALUES (?, ?, ?, ?, ?)",
+         {db::Value(id), cell("a"), cell("b"), cell("c"), cell("d")});
+  }
+  for (int i = 0; i < 60; ++i) {
+    const db::Value id(rng.uniform_int(1, 300));
+    if (i % 3 == 0) {
+      both("DELETE FROM # WHERE id = ?", {id});
+    } else {
+      const std::string& column = columns[static_cast<std::size_t>(
+          rng.uniform_int(0, 3))];
+      both("UPDATE # SET " + column + " = ? WHERE id = ?", {cell(column), id});
+    }
+  }
+
+  std::size_t walks = 0;
+  for (int q = 0; q < 300; ++q) {
+    const auto& spec =
+        specs[static_cast<std::size_t>(rng.uniform_int(0, 3))];
+    const auto k = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(spec.size())));
+    std::vector<std::string> where;
+    std::vector<db::Value> params;
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::string& column = spec[j].column;
+      const db::Value v = cell(column);
+      if (rng.uniform_int(0, 4) == 0) {
+        where.push_back(column + " IN (?, ?)");
+        params.push_back(v);
+        params.push_back(cell(column));
+      } else if (v.is_null()) {
+        where.push_back(column + (rng.uniform_int(0, 1) ? " IS NULL" : " = ?"));
+        if (where.back().back() == '?') params.push_back(v);
+      } else {
+        where.push_back(column + " = ?");
+        params.push_back(v);
+      }
+    }
+    if (rng.uniform_int(0, 1) == 0) {  // a conjunct no seek answers
+      const std::string& column =
+          columns[static_cast<std::size_t>(rng.uniform_int(0, 3))];
+      where.push_back(column +
+                      (rng.uniform_int(0, 1) ? " != ?" : " >= ?"));
+      params.push_back(cell(column));
+    }
+    std::vector<std::string> order;
+    const std::int64_t shape = rng.uniform_int(0, 3);
+    for (std::size_t j = (shape == 3 ? 0 : k); j < spec.size(); ++j) {
+      bool ascending = spec[j].ascending;
+      if (shape == 1) ascending = !ascending;  // the backward walk
+      if (shape == 3) ascending = rng.uniform_int(0, 1) == 0;
+      order.push_back(spec[j].column + (ascending ? " ASC" : " DESC"));
+    }
+    if (shape == 2 && rng.uniform_int(0, 1) == 0) order.clear();
+    std::string tail = " FROM #";
+    for (std::size_t i = 0; i < where.size(); ++i) {
+      tail += (i == 0 ? " WHERE " : " AND ") + where[i];
+    }
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      tail += (i == 0 ? " ORDER BY " : ", ") + order[i];
+    }
+    if (rng.uniform_int(0, 2) != 0) {
+      tail += " LIMIT " + std::to_string(rng.uniform_int(0, 12));
+    }
+    std::vector<std::vector<std::int64_t>> results;
+    const std::uint64_t scans = db.table("walked")->full_scans();
+    for (const char* table : {"walked", "sorted"}) {
+      const std::string sql = "SELECT id" + tail.substr(0, tail.find('#')) +
+                              table + tail.substr(tail.find('#') + 1);
+      auto r = conn.execute(sql, params);
+      ASSERT_TRUE(r.ok()) << sql << ": " << r.error().message;
+      results.emplace_back();
+      for (const db::Row& row : r.value().rows) {
+        results.back().push_back(row[0].as_int());
+      }
+    }
+    if (db.table("walked")->full_scans() == scans) ++walks;
+    ASSERT_EQ(results[0], results[1]) << "query " << q << ":" << tail;
+  }
+  EXPECT_GT(walks, 100u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SqlEquivalenceTest,
-                         ::testing::Values(5, 6, 7, 8));
+                         ::testing::Values(5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                                           15, 16));
 
 }  // namespace
 }  // namespace osprey

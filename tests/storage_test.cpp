@@ -469,12 +469,19 @@ TEST(LsmEngineTest, DeadDeviceSurfacesUnavailableNotGarbage) {
   EXPECT_TRUE(tasks->store().contains(spilled));
   EXPECT_FALSE(tasks->get(spilled).has_value());
 
-  // Predicate scan fetches every candidate row: kUnavailable, not a miss.
+  // A predicate scan reads each candidate row for the conjuncts the index
+  // seek does not answer: kUnavailable, not a miss.
   db::ScanOptions where_queued;
-  where_queued.where = db::eq("status", Value(std::string("queued")));
+  where_queued.where = db::and_(db::eq("status", Value(std::string("queued"))),
+                                db::gt("score", Value(0.0)));
   auto selected = tasks->select(where_queued);
   ASSERT_FALSE(selected.ok());
   EXPECT_EQ(selected.code(), ErrorCode::kUnavailable);
+  // The status index alone answers `status = 'queued'`: no row is read.
+  where_queued.where = db::eq("status", Value(std::string("queued")));
+  auto covered = tasks->select(where_queued);
+  ASSERT_TRUE(covered.ok());
+  EXPECT_EQ(covered.value().size(), 100u);
 
   // ORDER BY pins spilled rows before sorting: the pin failure propagates.
   db::ScanOptions by_score;
@@ -685,8 +692,11 @@ TEST(StorageRecoveryTest, MidFlushTornRunIsGarbageCollected) {
     for (const auto& run : store->runs()) attached.insert(run->segment);
   }
   db::wal::Lsn manifest_lsn = 0;
-  Result<json::Value> manifest =
-      db::wal::read_latest_checkpoint(r.device, &manifest_lsn);
+  Result<json::Value> manifest = db::wal::decode_checkpoint(
+      r.device
+          .read(db::wal::checkpoint_segment_name(r.info.value().checkpoint_lsn))
+          .value(),
+      &manifest_lsn);
   ASSERT_TRUE(manifest.ok());
   ASSERT_TRUE(is_manifest(manifest.value()));
   std::set<std::string> pinned = manifest_run_segments(manifest.value());

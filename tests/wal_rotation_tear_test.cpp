@@ -26,6 +26,8 @@
 #include "osprey/db/dump.h"
 #include "osprey/db/expr.h"
 #include "osprey/db/wal.h"
+#include "osprey/repl/node.h"
+#include "osprey/storage/engine.h"
 
 namespace osprey::db::wal {
 namespace {
@@ -361,6 +363,132 @@ TEST(FileLogDeviceTest, OnlyAMissingFileReadsAsNotFound) {
               ErrorCode::kUnavailable);
   }
   std::system(("rm -rf " + dir).c_str());
+}
+
+// --- unreadable checkpoints ------------------------------------------------
+//
+// Only a torn checkpoint may be passed over for an older one. One that
+// cannot be read may have deleted the older checkpoints and the log
+// segments it covers when it was written, so every repairing reader fails
+// with the disk untouched instead of recovering a database that never
+// existed.
+
+std::string checkpoint_segment(const SimDisk& disk) {
+  for (const auto& [name, bytes] : disk.segments) {
+    (void)bytes;
+    if (name.rfind("ckpt-", 0) == 0) return name;
+  }
+  return "";
+}
+
+TEST(WalRotationTearTest, AnUnreadableCheckpointFailsRecoveryUnrepaired) {
+  // Table `old`, a checkpoint, then table `tasks` with three commits: a
+  // fallback past the checkpoint would "recover" `tasks` without `old`.
+  auto master = std::make_shared<SimDisk>();
+  {
+    SimLogDevice device(master);
+    Database db;
+    WalManager manager(device);
+    ASSERT_TRUE(manager.open().is_ok());
+    manager.attach(db);
+    ASSERT_TRUE(db.create_table("old", task_schema()).ok());
+    ASSERT_TRUE(manager.checkpoint(db).ok());
+    ASSERT_TRUE(db.create_table("tasks", task_schema()).ok());
+    for (int i = 1; i <= 3; ++i) ASSERT_TRUE(apply_txn(db, i).is_ok());
+  }
+  const std::string ckpt = checkpoint_segment(*master);
+  ASSERT_FALSE(ckpt.empty());
+  for (ErrorCode code : {ErrorCode::kNotFound, ErrorCode::kUnavailable}) {
+    SCOPED_TRACE(static_cast<int>(code));
+    auto disk = std::make_shared<SimDisk>(*master);
+    UnreadableSegmentDevice device(disk, ckpt, code);
+    Database db;
+    Result<RecoveryInfo> info = recover(device, db);
+    ASSERT_FALSE(info.ok());
+    EXPECT_EQ(info.code(), code);
+    EXPECT_TRUE(disk->segments == master->segments);
+  }
+  // Readable, the same disk recovers both tables.
+  auto disk = std::make_shared<SimDisk>(*master);
+  SimLogDevice device(disk);
+  Database db;
+  ASSERT_TRUE(recover(device, db).ok());
+  EXPECT_NE(db.table("old"), nullptr);
+  EXPECT_EQ(db.table("tasks")->row_count(), 3u);
+}
+
+TEST(WalRotationTearTest, StorageRecoveryFailsOnAnUnreadableManifestKeepingRuns) {
+  // The manifest pins runs; runs flushed after it hold tail data. Before the
+  // checkpoint was read once, a failed read left the orphan GC an empty
+  // reference set, and it deleted every run.
+  storage::StorageOptions opts;
+  opts.memtable_bytes = 1024;  // a handful of rows per run
+  opts.block_bytes = 512;
+  auto master = std::make_shared<SimDisk>();
+  std::string expected;
+  {
+    SimLogDevice device(master);
+    storage::StorageEngine engine(device, opts);
+    Database db;
+    ASSERT_TRUE(engine.attach(db).is_ok());
+    WalManager manager(device);
+    ASSERT_TRUE(manager.open().is_ok());
+    manager.attach(db);
+    engine.install(manager);
+    ASSERT_TRUE(db.create_table("tasks", task_schema()).ok());
+    for (int i = 1; i <= 40; ++i) ASSERT_TRUE(apply_txn(db, i).is_ok());
+    ASSERT_TRUE(manager.checkpoint(db).ok());
+    for (int i = 41; i <= 80; ++i) ASSERT_TRUE(apply_txn(db, i).is_ok());
+    expected = dump_str(db);
+  }
+  const std::string ckpt = checkpoint_segment(*master);
+  ASSERT_FALSE(ckpt.empty());
+  std::size_t runs = 0;
+  for (const auto& [name, bytes] : master->segments) {
+    (void)bytes;
+    if (name.rfind("sst-", 0) == 0) ++runs;
+  }
+  ASSERT_GT(runs, 1u);
+  for (ErrorCode code : {ErrorCode::kNotFound, ErrorCode::kUnavailable}) {
+    SCOPED_TRACE(static_cast<int>(code));
+    auto disk = std::make_shared<SimDisk>(*master);
+    UnreadableSegmentDevice device(disk, ckpt, code);
+    storage::StorageEngine engine(device, opts);
+    Database db;
+    EXPECT_FALSE(engine.recover(db).ok());
+    EXPECT_TRUE(disk->segments == master->segments);
+  }
+  auto disk = std::make_shared<SimDisk>(*master);
+  SimLogDevice device(disk);
+  storage::StorageEngine engine(device, opts);
+  Database db;
+  ASSERT_TRUE(engine.recover(db).ok());
+  EXPECT_EQ(dump_str(db), expected);
+}
+
+TEST(WalRotationTearTest, ReplicaRestartFailsOnAnUnreadableCheckpointUnrepaired) {
+  // A replica owns its device, so the fault lives on its disk.
+  ManualClock clock;
+  repl::ReplicaNode leader("lead", "site-a", clock);
+  ASSERT_TRUE(leader.init_leader(1).is_ok());
+  repl::ReplicaNode follower("f1", "site-b", clock);
+  ASSERT_TRUE(follower
+                  .bootstrap(dump_database(leader.database()),
+                             leader.applied_lsn(), 1)
+                  .is_ok());
+  follower.crash();
+  const std::string ckpt = checkpoint_segment(*follower.disk());
+  ASSERT_FALSE(ckpt.empty());
+  const std::map<std::string, std::string> before = follower.disk()->segments;
+  for (ErrorCode code : {ErrorCode::kNotFound, ErrorCode::kUnavailable}) {
+    SCOPED_TRACE(static_cast<int>(code));
+    follower.disk()->unreadable[ckpt] = code;
+    EXPECT_FALSE(follower.recover_from_disk().ok());
+    EXPECT_TRUE(follower.disk()->segments == before);
+  }
+  follower.disk()->unreadable.clear();
+  ASSERT_TRUE(follower.recover_from_disk().ok());
+  EXPECT_EQ(dump_str(follower.database()), dump_str(leader.database()));
 }
 
 }  // namespace
