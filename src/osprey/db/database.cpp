@@ -4,7 +4,48 @@
 
 namespace osprey::db {
 
-Transaction::Transaction(Database& db) : db_(db), lock_(db.mutex()) {
+DatabaseLock::DatabaseLock(Database& db) : db_(db) {
+  db_.mutex_.lock();
+  // After a failed sync, the first hold to get in undoes what the log lost.
+  if (db_.holds_++ == 0 && db_.gate_ && db_.gate_->failed()) {
+    db_.roll_back_unsynced_locked();
+  }
+}
+
+DatabaseLock::~DatabaseLock() {
+  if (held_) unlock();
+}
+
+void DatabaseLock::unlock() {
+  held_ = false;
+  // After a failed sync, the last hold out undoes what the log lost.
+  if (--db_.holds_ == 0 && db_.gate_ && db_.gate_->failed()) {
+    db_.roll_back_unsynced_locked();
+  }
+  db_.mutex_.unlock();
+}
+
+Status DatabaseLock::await_durable() {
+  DurabilityGate* gate = db_.gate_;
+  if (!held_ || db_.holds_ > 1 || gate == nullptr) return Status::ok();
+  if (gate->failed()) {
+    // Fail closed: what this hold saw may include commits the log lost.
+    return db_.roll_back_unsynced_locked() ? gate->failure() : Status::ok();
+  }
+  const std::uint64_t lsn = gate->begin_wait();
+  if (lsn == 0) return Status::ok();  // all durable: keep holding
+  unlock();
+  Status durable = gate->await_durable(lsn);
+  if (!durable.is_ok()) {
+    // Whichever thread locks first after the failed sync rolls back the
+    // whole unsynced group; the others find nothing left to undo.
+    std::lock_guard<std::recursive_mutex> guard(db_.mutex_);
+    db_.roll_back_unsynced_locked();
+  }
+  return durable;
+}
+
+Transaction::Transaction(Database& db) : db_(db), lock_(db) {
   db_.attach_journal(&journal_);
 }
 
@@ -28,10 +69,11 @@ Status Transaction::commit() {
     }
   }
   db_.detach_journal();
+  db_.keep_unsynced_locked(journal_);
   journal_.clear();
   committed_ = true;
   finished_ = true;
-  return Status::ok();
+  return lock_.await_durable();
 }
 
 void Transaction::rollback() {
@@ -82,6 +124,12 @@ void Database::set_commit_observer(CommitObserver* observer) {
   observer_ = observer;
 }
 
+void Database::set_durability_gate(DurabilityGate* gate) {
+  std::lock_guard<std::recursive_mutex> guard(mutex_);
+  gate_ = gate;
+  unsynced_.clear();
+}
+
 void Database::set_store_factory(StoreFactory factory) {
   std::lock_guard<std::recursive_mutex> guard(mutex_);
   store_factory_ = std::move(factory);
@@ -120,6 +168,36 @@ void Database::attach_journal(std::vector<UndoRecord>* journal) {
 void Database::detach_journal() {
   for (auto& [_, table] : tables_) table->detach_journal();
   journal_attached_ = false;
+}
+
+void Database::keep_unsynced_locked(std::vector<UndoRecord>& journal) {
+  if (gate_ == nullptr || journal.empty()) return;
+  const std::uint64_t lsn = gate_->unsynced_lsn();
+  if (lsn == 0) {
+    unsynced_.clear();  // everything logged is durable
+    return;
+  }
+  const std::uint64_t durable = gate_->durable_lsn();
+  while (!unsynced_.empty() && unsynced_.front().lsn <= durable) {
+    unsynced_.pop_front();
+  }
+  // Every append happens under this mutex, so `lsn` is this commit's own
+  // last LSN.
+  unsynced_.push_back({lsn, std::move(journal)});
+}
+
+bool Database::roll_back_unsynced_locked() {
+  if (unsynced_.empty()) return false;
+  assert(!journal_attached_ && "group rollback inside a transaction");
+  const std::uint64_t durable = gate_ ? gate_->durable_lsn() : 0;
+  bool undone = false;
+  for (auto it = unsynced_.rbegin();
+       it != unsynced_.rend() && it->lsn > durable; ++it) {
+    apply_undo(it->journal);
+    undone = true;
+  }
+  unsynced_.clear();
+  return undone;
 }
 
 void Database::apply_undo(const std::vector<UndoRecord>& journal) {

@@ -41,18 +41,26 @@ Result<ExecResult> Connection::execute(const std::string& sql,
   if (!stmt) return parse_error;
   // Serialize with any concurrent connections; recursive so statements
   // inside our own open transaction (which holds the lock) still run.
-  std::lock_guard<std::recursive_mutex> guard(db_.mutex());
-  if (statement_mutates(*stmt) && !db_.in_transaction()) {
+  DatabaseLock hold(db_);
+  Result<ExecResult> result = [&]() -> Result<ExecResult> {
+    if (!statement_mutates(*stmt) || db_.in_transaction()) {
+      return run(*stmt, params);
+    }
     // Standalone DML auto-commits as its own transaction, so a multi-row
     // statement is atomic and the commit observer (WAL) sees the mutation.
     Transaction auto_txn(db_);
-    Result<ExecResult> result = run(*stmt, params);
-    if (!result.ok()) return result;
+    Result<ExecResult> ran = run(*stmt, params);
+    if (!ran.ok()) return ran;
     Status committed = auto_txn.commit();
     if (!committed.is_ok()) return committed.error();
-    return result;
-  }
-  return run(*stmt, params);
+    return ran;
+  }();
+  if (!result.ok()) return result;
+  // Outside a transaction this is the outermost hold: wait until what the
+  // statement wrote or read is durable.
+  Status durable = hold.await_durable();
+  if (!durable.is_ok()) return durable.error();
+  return result;
 }
 
 Status Connection::begin() {

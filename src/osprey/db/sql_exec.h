@@ -2,7 +2,9 @@
 // speaks, standing in for the paper's Postgres client library.
 //
 // Connection::execute parses, plans, and runs one statement under the
-// database lock. Statements may carry '?' bind parameters. Parsed statements
+// database lock; outside a transaction it returns only once what the
+// statement wrote or read is durable (group commit, DESIGN.md §5.7).
+// Statements may carry '?' bind parameters. Parsed statements
 // are cached by SQL text, so the hot EMEWS queries (§IV-C) parse once. The
 // cache never evicts: a caller that builds statement text per call (say, an
 // IN list per list length) grows it without bound.

@@ -82,9 +82,9 @@ std::vector<Value> Table::IndexKey::cells() const {
   return out;
 }
 
-int Table::IndexLess::compare_cells(const IndexKey& a, const IndexKey& b,
-                                    std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) {
+template <class A, class B>
+int Table::IndexLess::compare_cells(const A& a, const B& b) const {
+  for (std::size_t i = 0; i < descending_.size(); ++i) {
     const int c = a.cell(i).compare(b.cell(i));
     if (c != 0) return descending_[i] ? -c : c;
   }
@@ -101,7 +101,17 @@ int Table::IndexLess::compare_prefix(const IndexKey& a,
 }
 
 bool Table::IndexLess::operator()(const IndexKey& a, const IndexKey& b) const {
-  const int c = compare_cells(a, b, descending_.size());
+  const int c = compare_cells(a, b);
+  return c != 0 ? c < 0 : a.id < b.id;
+}
+
+bool Table::IndexLess::operator()(const IndexKey& a, const RowProbe& b) const {
+  const int c = compare_cells(a, b);
+  return c != 0 ? c < 0 : a.id < b.id;
+}
+
+bool Table::IndexLess::operator()(const RowProbe& a, const IndexKey& b) const {
+  const int c = compare_cells(a, b);
   return c != 0 ? c < 0 : a.id < b.id;
 }
 
@@ -263,7 +273,7 @@ void Table::index_insert(const Row& row, RowId id) {
 
 void Table::index_erase(const Row& row, RowId id) {
   for (auto& [spec, index] : indexes_) {
-    auto it = index.entries.find(key_of(index, row, id));
+    auto it = index.entries.find(RowProbe{&row, &index.columns, id});
     if (it != index.entries.end()) index.entries.erase(it);
   }
 }
@@ -275,9 +285,18 @@ void Table::index_update(const Row& old_row, const Row& new_row, RowId id) {
       if (!same_cell(old_row[column], new_row[column])) changed = true;
     }
     if (!changed) continue;
-    auto it = index.entries.find(key_of(index, old_row, id));
-    if (it != index.entries.end()) index.entries.erase(it);
-    index.entries.insert(key_of(index, new_row, id));
+    auto it = index.entries.find(RowProbe{&old_row, &index.columns, id});
+    if (it == index.entries.end()) {
+      index.entries.insert(key_of(index, new_row, id));
+      continue;
+    }
+    auto node = index.entries.extract(it);
+    IndexKey& key = node.value();
+    key.first = new_row[index.columns.front()];
+    for (std::size_t j = 1; j < index.columns.size(); ++j) {
+      key.rest[j - 1] = new_row[index.columns[j]];
+    }
+    index.entries.insert(std::move(node));
   }
 }
 

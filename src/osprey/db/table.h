@@ -200,6 +200,14 @@ class Table {
     const std::vector<Value>* prefix;
     bool after;
   };
+  /// A row's key read in place (the cells at `columns` of `row`), so finding
+  /// a row's entry builds no IndexKey.
+  struct RowProbe {
+    const Row* row;
+    const std::vector<std::size_t>* columns;
+    RowId id;
+    const Value& cell(std::size_t i) const { return (*row)[(*columns)[i]]; }
+  };
   /// Orders keys cell by cell, each in its column's direction, then by row
   /// id ascending.
   class IndexLess {
@@ -210,10 +218,12 @@ class Table {
     bool operator()(const IndexKey& a, const IndexKey& b) const;
     bool operator()(const IndexKey& a, const IndexBound& b) const;
     bool operator()(const IndexBound& a, const IndexKey& b) const;
+    bool operator()(const IndexKey& a, const RowProbe& b) const;
+    bool operator()(const RowProbe& a, const IndexKey& b) const;
 
    private:
-    int compare_cells(const IndexKey& a, const IndexKey& b,
-                      std::size_t n) const;
+    template <class A, class B>
+    int compare_cells(const A& a, const B& b) const;
     int compare_prefix(const IndexKey& a, const std::vector<Value>& b) const;
     std::vector<bool> descending_;
   };
@@ -260,7 +270,9 @@ class Table {
   void index_insert(const Row& row, RowId id);
   void index_erase(const Row& row, RowId id);
   /// Move `id`'s entries from `old_row`'s key to `new_row`'s, skipping every
-  /// index whose cells the change leaves as they were.
+  /// index whose cells the change leaves as they were. An entry keeps its
+  /// set node (rewritten in place, then reinserted), so a move allocates
+  /// nothing.
   void index_update(const Row& old_row, const Row& new_row, RowId id);
   /// kConflict when another row holds `row`'s primary key. An update
   /// passes the row's `old_row`: an unchanged key needs no lookup.

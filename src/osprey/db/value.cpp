@@ -36,6 +36,15 @@ int rank(const Value& v) {
 }  // namespace
 
 int Value::compare(const Value& other) const {
+  // Equal alternatives (every cell pair of one index column) skip the rank
+  // and cross-type numeric paths.
+  if (data_.index() == other.data_.index()) {
+    if (const auto* a = std::get_if<std::int64_t>(&data_)) {
+      const std::int64_t b = *std::get_if<std::int64_t>(&other.data_);
+      return *a < b ? -1 : (*a > b ? 1 : 0);
+    }
+    if (is_null()) return 0;
+  }
   int ra = rank(*this);
   int rb = rank(other);
   if (ra != rb) return ra < rb ? -1 : 1;

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <cstring>
 #include <optional>
+#include <thread>
 
 #include "osprey/db/codec.h"
 #include "osprey/db/dump.h"
@@ -303,13 +304,27 @@ Status FileLogDevice::append(const std::string& segment, const std::string& data
 }
 
 Status FileLogDevice::sync(const std::string& segment) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  std::string error;
-  int fd = fd_locked(segment, &error);
-  if (fd < 0) return Status(ErrorCode::kUnavailable, error);
-  if (::fsync(fd) != 0) {
+  int fd = -1;
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    std::string error;
+    const int append_fd = fd_locked(segment, &error);
+    if (append_fd < 0) return Status(ErrorCode::kUnavailable, error);
+    // A duplicate: a concurrent remove() or truncate() closes the append fd,
+    // never the one this fsync runs on.
+    fd = ::dup(append_fd);
+    if (fd < 0) {
+      return Status(ErrorCode::kUnavailable,
+                    "dup '" + segment + "': " + std::strerror(errno));
+    }
+  }
+  // Outside the mutex, so appends to this and other segments continue.
+  const int rc = ::fsync(fd);
+  const int err = errno;
+  ::close(fd);
+  if (rc != 0) {
     return Status(ErrorCode::kUnavailable,
-                  "fsync '" + segment + "': " + std::strerror(errno));
+                  "fsync '" + segment + "': " + std::strerror(err));
   }
   return Status::ok();
 }
@@ -438,7 +453,9 @@ Status SimLogDevice::append(const std::string& segment, const std::string& data)
     dead_ = true;
     return Status(ErrorCode::kUnavailable, "device crashed before append");
   }
-  pending_[segment] += data;
+  Pending& pending = pending_[segment];
+  if (pending.id == 0) pending.id = next_pending_id_++;
+  pending.bytes += data;
   ++appends_;
   bytes_appended_ += data.size();
   if (faults_ && faults_->should_fire(fault_point::wal_crash_after_append())) {
@@ -449,34 +466,55 @@ Status SimLogDevice::append(const std::string& segment, const std::string& data)
 }
 
 Status SimLogDevice::sync(const std::string& segment) {
+  std::uint64_t spin_iterations = 0;
+  std::function<void()> hook;
+  std::uint64_t entry = 0;  // the cache entry this sync flushes
+  std::size_t flushable = 0;
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    Status alive = fail_if_dead_locked("sync");
+    if (!alive.is_ok()) return alive;
+    if (faults_ && faults_->should_fire(fault_point::wal_crash_before_sync())) {
+      dead_ = true;
+      return Status(ErrorCode::kUnavailable, "device crashed before sync");
+    }
+    spin_iterations = sync_spin_;
+    hook = sync_hook_;
+    if (auto it = pending_.find(segment); it != pending_.end()) {
+      entry = it->second.id;
+      flushable = it->second.bytes.size();
+    }
+  }
+  // The device latency runs outside the mutex, as a real fsync does:
+  // appends land in the cache meanwhile and wait for the next sync.
+  if (hook) hook();
+  volatile std::uint64_t sink = 0;
+  for (std::uint64_t spin = 0; spin < spin_iterations; ++spin) sink = spin;
+  (void)sink;
+
   std::lock_guard<std::mutex> guard(mutex_);
   Status alive = fail_if_dead_locked("sync");
-  if (!alive.is_ok()) return alive;
-  if (faults_ && faults_->should_fire(fault_point::wal_crash_before_sync())) {
-    dead_ = true;
-    return Status(ErrorCode::kUnavailable, "device crashed before sync");
-  }
-  volatile std::uint64_t sink = 0;
-  for (std::uint64_t spin = 0; spin < sync_spin_; ++spin) sink = spin;
-  (void)sink;
+  if (!alive.is_ok()) return alive;  // power lost mid-sync
   auto it = pending_.find(segment);
+  if (it == pending_.end() || it->second.id != entry) flushable = 0;
   if (faults_ && faults_->should_fire(fault_point::wal_partial_flush())) {
     // A prefix of the cache reaches the medium, then the device dies — the
     // canonical torn write the recovery scan must truncate.
-    if (it != pending_.end()) {
+    if (flushable > 0) {
       double f = faults_->magnitude(fault_point::wal_partial_flush());
       f = std::min(std::max(f, 0.0), 1.0);
-      auto keep = static_cast<std::size_t>(
-          static_cast<double>(it->second.size()) * f);
-      disk_->segments[segment] += it->second.substr(0, keep);
+      auto keep =
+          static_cast<std::size_t>(static_cast<double>(flushable) * f);
+      disk_->segments[segment] += it->second.bytes.substr(0, keep);
       pending_.erase(it);
     }
     dead_ = true;
     return Status(ErrorCode::kUnavailable, "device crashed mid-flush");
   }
-  if (it != pending_.end()) {
-    disk_->segments[segment] += it->second;
-    pending_.erase(it);
+  if (flushable > 0) {
+    disk_->segments[segment] += it->second.bytes.substr(0, flushable);
+    it->second.bytes.erase(0, flushable);
+    if (it->second.bytes.empty()) pending_.erase(it);
   }
   ++syncs_;
   if (faults_ && faults_->should_fire(fault_point::wal_crash_after_sync())) {
@@ -501,7 +539,7 @@ SimLogDevice::parts_locked(const std::string& segment) {
   }
   return std::pair<const std::string*, const std::string*>(
       durable == disk_->segments.end() ? nullptr : &durable->second,
-      pending == pending_.end() ? nullptr : &pending->second);
+      pending == pending_.end() ? nullptr : &pending->second.bytes);
 }
 
 Result<std::string> SimLogDevice::read(const std::string& segment) {
@@ -571,7 +609,8 @@ Result<std::vector<std::string>> SimLogDevice::list() {
 
 void SimLogDevice::crash() {
   std::lock_guard<std::mutex> guard(mutex_);
-  for (auto& [segment, tail] : pending_) {
+  for (auto& [segment, cached] : pending_) {
+    const std::string& tail = cached.bytes;
     if (faults_ && !tail.empty() &&
         faults_->should_fire(fault_point::wal_torn_tail())) {
       double f = faults_->magnitude(fault_point::wal_torn_tail());
@@ -593,6 +632,11 @@ bool SimLogDevice::dead() const {
 void SimLogDevice::set_sync_spin(std::uint64_t iterations) {
   std::lock_guard<std::mutex> guard(mutex_);
   sync_spin_ = iterations;
+}
+
+void SimLogDevice::set_sync_hook(std::function<void()> hook) {
+  std::lock_guard<std::mutex> guard(mutex_);
+  sync_hook_ = std::move(hook);
 }
 
 std::uint64_t SimLogDevice::appends() const {
@@ -971,6 +1015,12 @@ Status WalManager::open() {
   }
   unsynced_commits_ = 0;
   unsynced_bytes_ = 0;
+  // Everything the device holds now is what a crash would leave: durable.
+  appended_.store(next_lsn_ - 1, std::memory_order_release);
+  durable_.store(next_lsn_ - 1, std::memory_order_release);
+  std::lock_guard<std::mutex> slot(sync_mutex_);
+  failure_ = Status::ok();
+  failed_.store(false, std::memory_order_release);
   return Status::ok();
 }
 
@@ -980,6 +1030,7 @@ void WalManager::attach(Database& db) {
     db_ = &db;
   }
   db.set_commit_observer(this);
+  db.set_durability_gate(this);
 }
 
 void WalManager::detach() {
@@ -989,13 +1040,22 @@ void WalManager::detach() {
     db = db_;
     db_ = nullptr;
   }
-  if (db && db->commit_observer() == this) db->set_commit_observer(nullptr);
+  if (db) {
+    std::lock_guard<std::recursive_mutex> db_guard(db->mutex());
+    if (db->commit_observer() == this) db->set_commit_observer(nullptr);
+    if (db->durability_gate() == this) db->set_durability_gate(nullptr);
+  }
+  // Waiters register under the database mutex, so none can start now; the
+  // ones registered finish within one sync.
+  while (waiters_.load(std::memory_order_acquire) > 0) {
+    std::this_thread::yield();
+  }
 }
 
 Status WalManager::rotate_locked(Lsn first_lsn) {
   if (!segment_.empty()) {
     // Leave no unsynced tail behind in a segment we will never touch again.
-    Status synced = maybe_sync_locked(unsynced_bytes_ > 0);
+    Status synced = sync_locked();
     if (!synced.is_ok()) return synced;
   }
   std::string header = wal_segment_header(first_lsn);
@@ -1024,33 +1084,119 @@ Status WalManager::append_frames_locked(const std::string& frames,
 
 Status WalManager::maybe_sync_locked(bool force) {
   bool due = force;
-  if (!due && options_.group_commit_txns == 1) due = unsynced_commits_ > 0;
   if (!due && options_.group_commit_txns > 1) {
     due = unsynced_commits_ >= options_.group_commit_txns ||
           (options_.group_commit_bytes > 0 &&
            unsynced_bytes_ >= options_.group_commit_bytes);
   }
-  if (!due || unsynced_bytes_ == 0) {
-    if (due) unsynced_commits_ = 0;
-    return Status::ok();
-  }
+  return due ? sync_locked() : Status::ok();
+}
+
+Status WalManager::run_sync(const std::string& segment, Lsn target,
+                            std::size_t batch) {
   obs::Stopwatch fsync_latency;
-  Status synced = device_.sync(segment_);
-  if (!synced.is_ok()) return synced;
-  ++stats_.syncs;
-  if (obs::enabled()) {
-    obs::observe_latency(wal_obs().fsync_latency, fsync_latency);
-    wal_obs().group_commit_batch.observe(
-        static_cast<double>(unsynced_commits_));
+  Status synced = device_.sync(segment);
+  {
+    std::lock_guard<std::mutex> slot(sync_mutex_);
+    syncing_ = false;
+    if (synced.is_ok()) {
+      if (target > durable_.load(std::memory_order_relaxed)) {
+        durable_.store(target, std::memory_order_release);
+      }
+      syncs_.fetch_add(1, std::memory_order_relaxed);
+    } else if (!failed_.load(std::memory_order_relaxed)) {
+      // The device may hold some, all or none of the unsynced group. No
+      // later sync may make any of it durable behind the rollback.
+      failure_ = Status(ErrorCode::kUnavailable,
+                        "wal sync failed, log closed until reopened: " +
+                            synced.to_string());
+      failed_.store(true, std::memory_order_release);
+    }
   }
+  sync_cv_.notify_all();
+  if (synced.is_ok() && obs::enabled()) {
+    obs::observe_latency(wal_obs().fsync_latency, fsync_latency);
+    wal_obs().group_commit_batch.observe(static_cast<double>(batch));
+  }
+  return synced;
+}
+
+Status WalManager::sync_locked() {
+  std::unique_lock<std::mutex> slot(sync_mutex_);
+  sync_cv_.wait(slot, [&] { return !syncing_; });
+  if (failed_.load(std::memory_order_relaxed)) return failure_;
+  const Lsn target = appended_.load(std::memory_order_relaxed);
+  if (target <= durable_.load(std::memory_order_relaxed)) return Status::ok();
+  const std::size_t batch = unsynced_commits_;
   unsynced_commits_ = 0;
   unsynced_bytes_ = 0;
-  return Status::ok();
+  syncing_ = true;
+  slot.unlock();
+  Status synced = run_sync(segment_, target, batch);
+  return synced.is_ok() ? synced : failure();
+}
+
+Status WalManager::sync_through(Lsn lsn) {
+  while (true) {
+    if (durable_.load(std::memory_order_acquire) >= lsn) return Status::ok();
+    std::unique_lock<std::mutex> wal(mutex_);
+    std::unique_lock<std::mutex> slot(sync_mutex_);
+    if (durable_.load(std::memory_order_relaxed) >= lsn) return Status::ok();
+    if (failed_.load(std::memory_order_relaxed)) return failure_;
+    if (syncing_) {
+      // Follow: the sync in flight may cover `lsn`; if not, lead the next.
+      wal.unlock();
+      sync_cv_.wait(slot, [&] { return !syncing_; });
+      continue;
+    }
+    // Lead: one sync for everything appended so far, whoever appended it.
+    const Lsn target = appended_.load(std::memory_order_relaxed);
+    const std::string segment = segment_;
+    const std::size_t batch = unsynced_commits_;
+    unsynced_commits_ = 0;
+    unsynced_bytes_ = 0;
+    syncing_ = true;
+    slot.unlock();
+    wal.unlock();
+    run_sync(segment, target, batch);
+  }
+}
+
+std::uint64_t WalManager::unsynced_lsn() const {
+  if (options_.group_commit_txns != 1) return 0;  // acknowledged before sync
+  const Lsn appended = appended_.load(std::memory_order_acquire);
+  return appended > durable_.load(std::memory_order_acquire) ? appended : 0;
+}
+
+std::uint64_t WalManager::begin_wait() {
+  const Lsn lsn = unsynced_lsn();
+  if (lsn != 0) waiters_.fetch_add(1, std::memory_order_relaxed);
+  return lsn;
+}
+
+Status WalManager::await_durable(std::uint64_t lsn) {
+  Status durable = sync_through(lsn);
+  waiters_.fetch_sub(1, std::memory_order_release);
+  return durable;
+}
+
+std::uint64_t WalManager::durable_lsn() const {
+  return durable_.load(std::memory_order_acquire);
+}
+
+bool WalManager::failed() const {
+  return failed_.load(std::memory_order_acquire);
+}
+
+Status WalManager::failure() const {
+  std::lock_guard<std::mutex> slot(sync_mutex_);
+  return failure_;
 }
 
 Status WalManager::on_commit(Database& db,
                              const std::vector<UndoRecord>& journal) {
   std::lock_guard<std::mutex> guard(mutex_);
+  if (failed()) return failure();
   const Lsn first_lsn = next_lsn_;
   std::string frames;
   std::uint32_t dml = 0;
@@ -1088,14 +1234,19 @@ Status WalManager::on_commit(Database& db,
     next_lsn_ = first_lsn;  // nothing acknowledged; keep LSNs dense
     return appended;
   }
+  appended_.store(commit.lsn, std::memory_order_release);
   ++stats_.commits_logged;
   stats_.records_logged += dml;
   ++unsynced_commits_;
+  // Full durability syncs after the database mutex is released: the
+  // committer waits through DurabilityGate, sharing a sync with others.
+  if (options_.group_commit_txns == 1) return Status::ok();
   return maybe_sync_locked(false);
 }
 
 Status WalManager::on_create_table(const Table& table) {
   std::lock_guard<std::mutex> guard(mutex_);
+  if (failed()) return failure();
   Record record;
   record.type = RecordType::kCreateTable;
   record.table = table.name();
@@ -1106,12 +1257,14 @@ Status WalManager::on_create_table(const Table& table) {
     --next_lsn_;
     return appended;
   }
+  appended_.store(record.lsn, std::memory_order_release);
   ++stats_.ddl_logged;
   return maybe_sync_locked(options_.group_commit_txns == 1);
 }
 
 Status WalManager::on_drop_table(const std::string& name) {
   std::lock_guard<std::mutex> guard(mutex_);
+  if (failed()) return failure();
   Record record;
   record.type = RecordType::kDropTable;
   record.table = name;
@@ -1121,6 +1274,7 @@ Status WalManager::on_drop_table(const std::string& name) {
     --next_lsn_;
     return appended;
   }
+  appended_.store(record.lsn, std::memory_order_release);
   ++stats_.ddl_logged;
   return maybe_sync_locked(options_.group_commit_txns == 1);
 }
@@ -1128,6 +1282,7 @@ Status WalManager::on_drop_table(const std::string& name) {
 Status WalManager::on_create_index(const std::string& table,
                                    const std::string& spec) {
   std::lock_guard<std::mutex> guard(mutex_);
+  if (failed()) return failure();
   Record record;
   record.type = RecordType::kCreateIndex;
   record.table = table;
@@ -1138,13 +1293,13 @@ Status WalManager::on_create_index(const std::string& table,
     --next_lsn_;
     return appended;
   }
+  appended_.store(record.lsn, std::memory_order_release);
   ++stats_.ddl_logged;
   return maybe_sync_locked(options_.group_commit_txns == 1);
 }
 
 Status WalManager::flush() {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return maybe_sync_locked(true);
+  return sync_through(appended_.load(std::memory_order_acquire));
 }
 
 void WalManager::set_snapshot_provider(SnapshotProvider provider) {
@@ -1162,6 +1317,13 @@ Result<Lsn> WalManager::checkpoint(Database& db) {
   // the wal lock — checkpointing between transactions, never inside one.
   std::lock_guard<std::recursive_mutex> db_guard(db.mutex());
   std::lock_guard<std::mutex> guard(mutex_);
+  {
+    // No segment may vanish under a sync in flight, and a closed log
+    // writes nothing more.
+    std::unique_lock<std::mutex> slot(sync_mutex_);
+    sync_cv_.wait(slot, [&] { return !syncing_; });
+    if (failed_.load(std::memory_order_relaxed)) return failure_.error();
+  }
 
   const Lsn ckpt_lsn = next_lsn_ - 1;
   std::string out = encode_checkpoint(
@@ -1192,13 +1354,29 @@ Result<Lsn> WalManager::checkpoint(Database& db) {
   segment_size_ = 0;
   unsynced_commits_ = 0;
   unsynced_bytes_ = 0;
+  {
+    // The checkpoint holds every commit logged so far.
+    std::lock_guard<std::mutex> slot(sync_mutex_);
+    durable_.store(ckpt_lsn, std::memory_order_release);
+  }
+  sync_cv_.notify_all();
   ++stats_.checkpoints;
   if (post_checkpoint_hook_) post_checkpoint_hook_(ckpt_lsn);
   return ckpt_lsn;
 }
 
 Result<Lsn> WalManager::log_epoch(std::uint64_t epoch) {
+  // Under the database mutex like every commit, so a committer's own last
+  // LSN is the highest appended when it reads it (DurabilityGate).
+  Database* db = nullptr;
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    db = db_;
+  }
+  std::unique_lock<std::recursive_mutex> db_guard;
+  if (db) db_guard = std::unique_lock<std::recursive_mutex>(db->mutex());
   std::lock_guard<std::mutex> guard(mutex_);
+  if (failed()) return failure().error();
   Record record;
   record.type = RecordType::kEpoch;
   record.epoch = epoch;
@@ -1208,6 +1386,7 @@ Result<Lsn> WalManager::log_epoch(std::uint64_t epoch) {
     --next_lsn_;
     return appended.error();
   }
+  appended_.store(record.lsn, std::memory_order_release);
   ++stats_.epochs_logged;
   Status synced = maybe_sync_locked(true);
   if (!synced.is_ok()) return synced.error();
@@ -1221,7 +1400,9 @@ Lsn WalManager::next_lsn() const {
 
 WalStats WalManager::stats() const {
   std::lock_guard<std::mutex> guard(mutex_);
-  return stats_;
+  WalStats out = stats_;
+  out.syncs = syncs_.load(std::memory_order_relaxed);
+  return out;
 }
 
 // --- WalCursor --------------------------------------------------------------
@@ -1229,7 +1410,7 @@ WalStats WalManager::stats() const {
 WalCursor::WalCursor(LogDevice& device, Lsn from)
     : device_(device), position_(from == 0 ? 1 : from) {}
 
-Result<CursorBatch> WalCursor::next(std::size_t max_records) {
+Result<CursorBatch> WalCursor::next(std::size_t max_records, Lsn up_to) {
   Result<std::vector<std::string>> names = device_.list();
   if (!names.ok()) return names.error();
 
@@ -1246,6 +1427,7 @@ Result<CursorBatch> WalCursor::next(std::size_t max_records) {
       device_, names.value(), position_, Vanished::kEndOfLog,
       [&](std::vector<Record>& unit) -> Result<Walk> {
         if (unit.back().lsn < position_) return Walk::kContinue;  // delivered
+        if (unit.back().lsn > up_to) return Walk::kStop;
         for (Record& r : unit) {
           batch.frames += encode_record(r);
           if (batch.first_lsn == 0) batch.first_lsn = r.lsn;

@@ -26,6 +26,8 @@
 // non-transactional DDL of the engine.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -128,7 +130,9 @@ class LogDevice {
   virtual ~LogDevice() = default;
 
   virtual Status append(const std::string& segment, const std::string& data) = 0;
-  /// Durability barrier: all prior appends to `segment` survive a crash.
+  /// Durability barrier: all appends to `segment` that completed before the
+  /// call survive a crash. Appends may run concurrently with a sync (group
+  /// commit syncs outside the database lock); those need not be covered.
   virtual Status sync(const std::string& segment) = 0;
   virtual Result<std::string> read(const std::string& segment) = 0;
   /// `length` bytes starting at `offset` (short when the segment ends
@@ -145,7 +149,8 @@ class LogDevice {
   virtual Result<std::vector<std::string>> list() = 0;
 };
 
-/// Real files in a directory; sync is fsync(2).
+/// Real files in a directory; sync is fsync(2), run outside the device
+/// mutex on a duplicate of the append fd so appends proceed meanwhile.
 class FileLogDevice : public LogDevice {
  public:
   explicit FileLogDevice(std::string directory);
@@ -182,7 +187,8 @@ struct SimDisk {
 };
 
 /// Simulated crashable log device. Appends land in a volatile write cache;
-/// sync() flushes the cache to the SimDisk. crash() loses the cache — except
+/// sync() flushes to the SimDisk the part of the cache that was pending when
+/// it began (appends may continue while it runs). crash() loses the cache — except
 /// that when the `wal.torn_tail` fault fires, a prefix of it (fraction =
 /// point magnitude) reaches the medium, producing the torn tails recovery
 /// must cope with. The wal.crash_* / wal.partial_flush fault points kill the
@@ -209,9 +215,15 @@ class SimLogDevice : public LogDevice {
   void crash();
   bool dead() const;
 
-  /// Model per-sync device latency by busy-spinning: lets bench_wal show the
-  /// group-commit win without depending on real disk speed.
+  /// Model per-sync device latency by busy-spinning outside the device
+  /// mutex: lets bench_wal show the group-commit win without depending on
+  /// real disk speed.
   void set_sync_spin(std::uint64_t iterations);
+
+  /// Run `hook` at the start of every sync, outside the device mutex, before
+  /// anything is flushed. Tests use it to hold a sync open (a latch) while
+  /// they look at what the log exposes in the meantime.
+  void set_sync_hook(std::function<void()> hook);
 
   std::uint64_t appends() const;
   std::uint64_t syncs() const;
@@ -225,12 +237,22 @@ class SimLogDevice : public LogDevice {
       const std::string& segment);
   Status fail_if_dead_locked(const char* op);
 
+  /// A segment's unsynced bytes. `id` names this cache entry: a sync
+  /// flushes only if the entry it began on is still there (a remove,
+  /// truncate or full flush in between starts a new one).
+  struct Pending {
+    std::string bytes;
+    std::uint64_t id = 0;
+  };
+
   std::shared_ptr<SimDisk> disk_;
   FaultRegistry* faults_;
   mutable std::mutex mutex_;
-  std::map<std::string, std::string> pending_;  // volatile write cache
+  std::map<std::string, Pending> pending_;  // volatile write cache
+  std::uint64_t next_pending_id_ = 1;
   bool dead_ = false;
   std::uint64_t sync_spin_ = 0;
+  std::function<void()> sync_hook_;
   std::uint64_t appends_ = 0;
   std::uint64_t syncs_ = 0;
   std::uint64_t bytes_appended_ = 0;
@@ -242,13 +264,17 @@ class SimLogDevice : public LogDevice {
 struct WalOptions {
   /// Rotate to a new segment once the current one reaches this size.
   std::uint64_t segment_bytes = 256 * 1024;
-  /// Durability policy. 1 = sync every commit (full durability: an
-  /// acknowledged commit survives any crash). N > 1 = group commit: sync
-  /// once every N commits or `group_commit_bytes`, trading the tail of
-  /// acknowledged-but-unsynced commits for fewer durability barriers.
-  /// 0 = never sync on commit (flush()/checkpoint only).
+  /// Durability policy. 1 = full durability with group commit: every commit
+  /// is synced before it is acknowledged (an acknowledged commit survives
+  /// any crash), but the sync runs after the database lock is released and
+  /// one sync covers every commit appended before it began, so concurrent
+  /// committers share it (DESIGN.md §5.7). N > 1 = relaxed: acknowledge at
+  /// once and sync under the lock every N commits or `group_commit_bytes`,
+  /// trading the tail of acknowledged-but-unsynced commits for fewer
+  /// durability barriers. 0 = never sync on commit (flush()/checkpoint
+  /// only).
   std::size_t group_commit_txns = 1;
-  /// With group commit, also sync once this many unsynced bytes accumulate.
+  /// With N > 1, also sync once this many unsynced bytes accumulate.
   std::uint64_t group_commit_bytes = 64 * 1024;
 };
 
@@ -304,11 +330,22 @@ Result<RecoveryInfo> recover(LogDevice& device, Database& db,
                              const SnapshotRestorer& restore_snapshot);
 
 /// The redo-log writer. Implements CommitObserver: once attached to a
-/// Database, every committing transaction is encoded, appended, and (per the
-/// durability policy) synced before commit() returns — and a transaction
-/// whose records cannot be made durable is rolled back instead of
-/// acknowledged. DDL is logged immediately.
-class WalManager : public CommitObserver {
+/// Database, every committing transaction is encoded and appended under the
+/// database mutex. It also implements DurabilityGate: with full durability
+/// the committer, having released the mutex, waits until a sync covers its
+/// records. One waiter at a time leads and syncs everything appended so
+/// far; the others sleep until a sync covers them (group commit). A
+/// transaction whose records cannot be made durable is rolled back instead
+/// of acknowledged. DDL is logged and synced immediately.
+///
+/// A failed sync fails the log closed: every waiter gets the error, the
+/// database rolls back every commit the log had not made durable, and every
+/// later commit, DDL, flush and checkpoint fails with kUnavailable until
+/// open() runs again (on a fresh manager after recover(), say).
+///
+/// Lock order: the database mutex, then mutex_, then sync_mutex_. A sync in
+/// flight holds neither of the first two.
+class WalManager : public CommitObserver, public DurabilityGate {
  public:
   explicit WalManager(LogDevice& device, WalOptions options = {});
 
@@ -318,8 +355,10 @@ class WalManager : public CommitObserver {
   /// once before attach().
   Status open();
 
-  /// Install this WAL as `db`'s commit observer. The manager must outlive
-  /// the attachment; detach() (or destroying the database first) ends it.
+  /// Install this WAL as `db`'s commit observer and durability gate. The
+  /// manager must outlive the attachment; detach() (or destroying the
+  /// database first) ends it. detach() returns once no committer is still
+  /// waiting on this manager for durability.
   void attach(Database& db);
   void detach();
 
@@ -330,7 +369,18 @@ class WalManager : public CommitObserver {
   Status on_create_index(const std::string& table,
                          const std::string& spec) override;
 
-  /// Sync any unsynced appends (group-commit tail).
+  // DurabilityGate:
+  std::uint64_t unsynced_lsn() const override;
+  std::uint64_t begin_wait() override;
+  Status await_durable(std::uint64_t lsn) override;
+  /// Highest LSN a completed sync (or checkpoint) covers: what a crash
+  /// cannot take back. Replication ships and snapshots no further.
+  std::uint64_t durable_lsn() const override;
+  bool failed() const override;
+  Status failure() const override;
+
+  /// Sync everything appended so far (the relaxed policies' unsynced tail),
+  /// sharing a sync already in flight.
   Status flush();
 
   /// Write a snapshot of `db` as a checkpoint segment, then delete the wal
@@ -354,6 +404,7 @@ class WalManager : public CommitObserver {
 
   /// Append a kEpoch record announcing a replication leadership epoch, and
   /// force it durable (epochs are rare and fence correctness hangs on them).
+  /// Taken under the attached database's mutex, like every other append.
   /// Returns the record's LSN.
   Result<Lsn> log_epoch(std::uint64_t epoch);
 
@@ -365,6 +416,16 @@ class WalManager : public CommitObserver {
   Status append_frames_locked(const std::string& frames, Lsn first_lsn);
   Status maybe_sync_locked(bool force);
   Status rotate_locked(Lsn first_lsn);
+  /// Sync everything appended, with mutex_ held: wait out a sync in flight
+  /// (it finishes without mutex_), then sync in place.
+  Status sync_locked();
+  /// Return once `lsn` is durable: lead a sync of everything appended when
+  /// none is in flight, otherwise wait for the one that is.
+  Status sync_through(Lsn lsn);
+  /// With the sync slot taken: sync `segment`, publish it as covering
+  /// everything up to `target` (`batch` commits), free the slot and wake
+  /// the waiters. A failure closes the log.
+  Status run_sync(const std::string& segment, Lsn target, std::size_t batch);
 
   LogDevice& device_;
   WalOptions options_;
@@ -375,9 +436,21 @@ class WalManager : public CommitObserver {
   Lsn next_lsn_ = 1;
   std::string segment_;          // current wal segment ("" until first append)
   std::uint64_t segment_size_ = 0;
-  std::size_t unsynced_commits_ = 0;
+  std::size_t unsynced_commits_ = 0;  // appended since the last sync began
   std::uint64_t unsynced_bytes_ = 0;
   WalStats stats_;
+
+  // Group commit. appended_ mirrors next_lsn_ - 1 once the frames are on the
+  // device; durable_ only grows, and only while the log is open.
+  std::atomic<Lsn> appended_{0};
+  std::atomic<Lsn> durable_{0};
+  std::atomic<bool> failed_{false};
+  std::atomic<int> waiters_{0};  // registered by begin_wait()
+  std::atomic<std::uint64_t> syncs_{0};
+  mutable std::mutex sync_mutex_;  // guards syncing_ and failure_
+  std::condition_variable sync_cv_;
+  bool syncing_ = false;  // one sync in flight at a time
+  Status failure_;
 };
 
 // ---------------------------------------------------------------------------
@@ -416,9 +489,12 @@ class WalCursor {
   WalCursor(LogDevice& device, Lsn from = 1);
 
   /// Read up to ~`max_records` records of complete committed units (a unit is
-  /// never split, so a batch may exceed the cap by one transaction). An empty
-  /// batch means the cursor is caught up with the committed tail.
-  Result<CursorBatch> next(std::size_t max_records);
+  /// never split, so a batch may exceed the cap by one transaction), none
+  /// past `up_to`: a shipper passes the writer's durable_lsn(), so a unit
+  /// appended but not yet synced stays unread. An empty batch means the
+  /// cursor is caught up.
+  Result<CursorBatch> next(std::size_t max_records,
+                           Lsn up_to = ~static_cast<Lsn>(0));
 
   /// The next LSN this cursor will deliver.
   Lsn position() const { return position_; }

@@ -81,8 +81,10 @@ void Notifier::remove_listener(ListenerId id) {
 
 Status Notifier::on_commit(db::Database& db,
                            const std::vector<db::UndoRecord>& journal) {
-  // Durability first: the wrapped observer (the WAL) sees the journal and
-  // keeps its veto. A vetoed commit rolls back and must notify no one.
+  // Logging first: the wrapped observer (the WAL) sees the journal and
+  // keeps its veto. A vetoed commit rolls back and must notify no one. The
+  // commit is appended, not yet durable; whoever the signals below wake
+  // waits for its sync before returning anything it reads.
   if (inner_ != nullptr) {
     Status inner = inner_->on_commit(db, journal);
     if (!inner.is_ok()) return inner;

@@ -25,6 +25,12 @@
 //     commit path, which the simulation turns into zero-delay scheduled
 //     events so chaos and replay runs stay bit-deterministic.
 //
+// Notifications may precede durability: with group commit (DESIGN.md §5.7)
+// the wrapped WAL only appends in on_commit, and the committer waits for the
+// sync after releasing the database mutex. A woken waiter's own read or
+// commit runs after the signalling commit was appended, so it waits for that
+// sync too, and fails instead of returning what a failed sync lost.
+//
 // Locking (kept acyclic — see the commit-path order below): channels_mutex_
 // guards the channel map only; wait_mutex_ guards nothing but the cv sleep
 // (versions are atomics); listener_mutex_ serializes listener invocation so

@@ -101,11 +101,14 @@ Result<json::Value> ReplicationGroup::leader_snapshot_locked(
   if (!wal_mgr) {
     return Error(ErrorCode::kInternal, "leader has no wal manager");
   }
-  // The database lock keeps commits out while we read the log position, so
-  // the dump is consistent exactly as of next_lsn - 1 (every commit holds
-  // this lock while it logs).
+  // The database lock keeps commits out (every commit logs under it), and
+  // the flush makes everything logged so far durable, so the dump is
+  // consistent exactly as of the durable LSN: a follower never holds a
+  // commit the leader could still lose.
   std::lock_guard<std::recursive_mutex> db_guard(leader_->database().mutex());
-  *snapshot_lsn = wal_mgr->next_lsn() - 1;
+  Status flushed = wal_mgr->flush();
+  if (!flushed.is_ok()) return flushed.error();
+  *snapshot_lsn = wal_mgr->durable_lsn();
   return db::dump_database(leader_->database());
 }
 
@@ -190,7 +193,8 @@ Status ReplicationGroup::deliver_locked(ReplicaNode& follower,
       // Deliver the *next* batch first: the follower must reject the LSN gap
       // so in-order redelivery below converges.
       wal::WalCursor peek(leader_->device(), batch.last_lsn + 1);
-      Result<wal::CursorBatch> later = peek.next(config_.max_batch_records);
+      Result<wal::CursorBatch> later =
+          peek.next(config_.max_batch_records, leader_->applied_lsn());
       if (later.ok() && !later.value().empty()) {
         ShipBatch early;
         early.epoch = batch.epoch;
@@ -247,8 +251,11 @@ Status ReplicationGroup::deliver_locked(ReplicaNode& follower,
 Status ReplicationGroup::ship_to_follower_locked(ReplicaNode& follower,
                                                  PumpStats* stats) {
   for (std::size_t i = 0; i < config_.max_batches_per_pump; ++i) {
+    // Ship only what the leader has made durable: a unit appended but not
+    // yet synced could still be lost with the leader.
     wal::WalCursor cursor(leader_->device(), follower.applied_lsn() + 1);
-    Result<wal::CursorBatch> next = cursor.next(config_.max_batch_records);
+    Result<wal::CursorBatch> next =
+        cursor.next(config_.max_batch_records, leader_->applied_lsn());
     if (!next.ok()) return next.error();
     if (next.value().empty()) {
       caught_up_at_[follower.node_id()] = clock_.now();

@@ -110,7 +110,7 @@ class ReplicationGroup {
   std::vector<std::string> follower_ids() const;
   Epoch epoch() const;
   bool leader_alive();
-  /// The leader's last committed LSN (0 when there is no live leader).
+  /// The leader's last durable LSN (0 when there is no live leader).
   db::wal::Lsn leader_lsn();
   Duration last_failover_duration() const;
   Duration last_bootstrap_duration() const;

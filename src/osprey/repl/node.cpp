@@ -274,7 +274,7 @@ bool ReplicaNode::bootstrapped() const {
 
 wal::Lsn ReplicaNode::applied_lsn() const {
   std::lock_guard<std::mutex> guard(mutex_);
-  if (role_ == Role::kLeader && wal_) return wal_->next_lsn() - 1;
+  if (role_ == Role::kLeader && wal_) return wal_->durable_lsn();
   return applied_lsn_;
 }
 

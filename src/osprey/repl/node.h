@@ -112,7 +112,8 @@ class ReplicaNode {
   bool alive() const;
   bool bootstrapped() const;
   /// Highest LSN reflected in the database (followers: last applied; the
-  /// leader reports its log position).
+  /// leader reports its durable LSN, the last commit a crash cannot take
+  /// back).
   db::wal::Lsn applied_lsn() const;
 
   db::Database& database() { return *db_; }

@@ -20,7 +20,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -847,6 +850,72 @@ TEST(ReplThreadedTest, ConcurrentWritersAndShipperConverge) {
   EXPECT_EQ(f2->applied_lsn(), leader->applied_lsn());
   EXPECT_EQ(dump_of(f1), dump_of(leader));
   EXPECT_EQ(dump_of(f2), dump_of(leader));
+}
+
+// --- group commit: replication stops at the durable LSN -----------------------
+
+TEST(ReplGroupCommitTest, FollowersNeverGetPastTheLeadersDurableLsn) {
+  RealClock clock;
+  net::Network network = net::Network::testbed();
+  ReplicationGroup group(clock, network);
+  ReplicaNode* leader = group.create_leader("lead", "bebop").value();
+  ReplicaNode* f1 = group.add_follower("f1", "theta").value();
+  std::unique_ptr<eqsql::EQSQL> api = std::move(leader->connect()).take();
+  ASSERT_TRUE(api->submit_task("durable", kWork, "{}").ok());
+  ASSERT_TRUE(group.pump().ok());
+  ASSERT_EQ(f1->applied_lsn(), leader->wal()->durable_lsn());
+
+  // Hold the leader's next sync open: a commit is then appended to the
+  // leader's log but not durable.
+  std::mutex latch_mutex;
+  std::condition_variable latch_cv;
+  bool entered = false;
+  bool released = false;
+  leader->sim_device().set_sync_hook([&] {
+    std::unique_lock<std::mutex> lock(latch_mutex);
+    entered = true;
+    latch_cv.notify_all();
+    latch_cv.wait(lock, [&] { return released; });
+  });
+  std::thread writer([&] {
+    EXPECT_TRUE(api->submit_task("pending", kWork, "{}").ok());
+  });
+  {
+    std::unique_lock<std::mutex> lock(latch_mutex);
+    latch_cv.wait(lock, [&] { return entered; });
+  }
+  wal::WalManager* wal = leader->wal();
+  const wal::Lsn durable = wal->durable_lsn();
+  ASSERT_LT(durable, wal->next_lsn() - 1) << "the commit should be unsynced";
+  EXPECT_EQ(group.leader_lsn(), durable);
+  ASSERT_TRUE(group.pump().ok());
+  EXPECT_LE(f1->applied_lsn(), wal->durable_lsn());
+
+  // A bootstrap while the commit is unsynced waits for it to be durable
+  // rather than snapshot past the durable LSN.
+  Result<ReplicaNode*> f2 = Error(ErrorCode::kInternal, "not run");
+  wal::Lsn durable_at_bootstrap = 0;
+  std::thread bootstrapper([&] {
+    f2 = group.add_follower("f2", "cloud");
+    durable_at_bootstrap = wal->durable_lsn();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  {
+    std::lock_guard<std::mutex> lock(latch_mutex);
+    released = true;
+  }
+  latch_cv.notify_all();
+  writer.join();
+  bootstrapper.join();
+  leader->sim_device().set_sync_hook(nullptr);
+
+  ASSERT_TRUE(f2.ok()) << f2.error().to_string();
+  EXPECT_LE(f2.value()->applied_lsn(), durable_at_bootstrap);
+  ASSERT_TRUE(group.pump().ok());
+  EXPECT_EQ(f1->applied_lsn(), wal->durable_lsn());
+  EXPECT_EQ(f2.value()->applied_lsn(), wal->durable_lsn());
+  EXPECT_EQ(dump_of(f1), dump_of(leader));
+  EXPECT_EQ(dump_of(f2.value()), dump_of(leader));
 }
 
 }  // namespace

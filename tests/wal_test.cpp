@@ -23,6 +23,7 @@
 #include "osprey/db/database.h"
 #include "osprey/db/dump.h"
 #include "osprey/db/expr.h"
+#include "osprey/db/sql_exec.h"
 #include "osprey/db/wal.h"
 
 namespace osprey::db::wal {
@@ -551,6 +552,64 @@ TEST(WalGroupCommitTest, BatchesSyncsAndLosesOnlyTheUnsyncedTail) {
   Database flushed_recovered;
   ASSERT_TRUE(recover(flushed_reopened, flushed_recovered).ok());
   EXPECT_EQ(dump_str(flushed_recovered), snaps[kTxns]);
+}
+
+// --- a failed sync closes the log ---------------------------------------------
+
+// A device whose next sync fails once while the device stays alive, the way
+// an fsync error leaves a disk: nothing it held is flushed.
+class FailNextSyncDevice : public SimLogDevice {
+ public:
+  using SimLogDevice::SimLogDevice;
+  Status sync(const std::string& segment) override {
+    if (fail_next) {
+      fail_next = false;
+      return Status(ErrorCode::kUnavailable, "injected sync failure");
+    }
+    return SimLogDevice::sync(segment);
+  }
+  bool fail_next = false;
+};
+
+TEST(WalTest, AFailedSyncIsNotResurrectedByALaterCommit) {
+  auto disk = std::make_shared<SimDisk>();
+  FailNextSyncDevice device(disk);
+  Database db;
+  WalManager manager(device);
+  ASSERT_TRUE(manager.open().is_ok());
+  manager.attach(db);
+  sql::Connection conn(db);
+  ASSERT_TRUE(conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)").ok());
+  ASSERT_TRUE(conn.execute("INSERT INTO t VALUES (1, 'before')").ok());
+  const std::string before = dump_str(db);
+
+  device.fail_next = true;
+  Result<sql::ExecResult> failed =
+      conn.execute("UPDATE t SET v = 'failed' WHERE id = 1");
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(dump_str(db), before);  // rolled back in memory
+
+  // The log failed closed: a later commit must not sync the failed
+  // transaction's frames into the durable log behind the rollback.
+  Result<sql::ExecResult> later = conn.execute("INSERT INTO t VALUES (2, 'later')");
+  ASSERT_FALSE(later.ok());
+  EXPECT_EQ(later.code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(dump_str(db), before);
+  manager.detach();
+  device.crash();
+
+  SimLogDevice after(disk);
+  Database recovered;
+  ASSERT_TRUE(recover(after, recovered).ok());
+  Database with_failed;
+  {
+    sql::Connection shadow(with_failed);
+    ASSERT_TRUE(shadow.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)").ok());
+    ASSERT_TRUE(shadow.execute("INSERT INTO t VALUES (1, 'failed')").ok());
+  }
+  const std::string got = dump_str(recovered);
+  EXPECT_TRUE(got == before || got == dump_str(with_failed)) << got;
 }
 
 // --- the kill-point matrix ---------------------------------------------------
